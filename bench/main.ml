@@ -621,23 +621,15 @@ let overhead_report ?(strict = false) fmt =
   end
 
 (* Data-layout report: live-heap words and per-update allocation on a
-   fixed per-update SNB replay, emitted as BENCH_layout.json next to the
-   pre-refactor baseline (the boxed Tuple.t-list representation, measured
-   at the commit preceding the packed row-store on the same workload and
-   recorded here as constants).  [strict] additionally enforces the
-   allocation-regression budget: mean minor words allocated per update
-   must stay under TRIC_ALLOC_MAX_WORDS (the CI smoke for GC pressure on
-   the hot path — boxed-tuple regressions show up here first). *)
+   fixed per-update SNB replay, emitted as BENCH_layout.json.  [strict]
+   additionally enforces the allocation-regression budget: mean minor
+   words allocated per update must stay under TRIC_ALLOC_MAX_WORDS (the
+   CI smoke for GC pressure on the hot path — boxed-tuple regressions
+   show up here first). *)
 let layout_report ?(strict = false) fmt =
   let edges = getenv_int "TRIC_LAYOUT_EDGES" 3_000 in
   let qdb = getenv_int "TRIC_LAYOUT_QDB" 60 in
-  let max_minor = float_of_int (getenv_int "TRIC_ALLOC_MAX_WORDS" 60_000) in
-  (* Boxed-layout numbers at the same workload (edges=3000 qdb=60 seed=7),
-     measured immediately before the packed row-store landed.  Only
-     comparable at the default workload parameters. *)
-  let baseline_live_words, baseline_upd_s, baseline_minor_per_upd =
-    (407_935.0, 120_000.0, 1_367.0)
-  in
+  let max_minor = float_of_int (getenv_int "TRIC_ALLOC_MAX_WORDS" 2_000) in
   let d =
     W.Dataset.make W.Dataset.Snb
       { W.Dataset.edges; qdb; avg_len = 5; selectivity = 0.25; overlap = 0.35; seed = 7 }
@@ -666,9 +658,6 @@ let layout_report ?(strict = false) fmt =
     "minor words/upd";
   Format.fprintf fmt "%-8s %12.0f %16d %18.0f@." "TRIC+" plus_ups plus_live plus_minor;
   Format.fprintf fmt "%-8s %12.0f %16d %18.0f@." "TRIC" plain_ups plain_live plain_minor;
-  if baseline_live_words > 0.0 then
-    Format.fprintf fmt "@.boxed baseline (TRIC+): %.0f upd/s, %.0f live words, %.0f minor words/upd@."
-      baseline_upd_s baseline_live_words baseline_minor_per_upd;
   Format.fprintf fmt "@.";
   write_bench_json fmt ~file:"BENCH_layout.json" ~bench:"layout"
     (workload_fields ~source:"snb" ~edges ~qdb
@@ -682,13 +671,6 @@ let layout_report ?(strict = false) fmt =
               ("tric_upd_s", J.Num plain_ups);
               ("tric_live_words", J.int plain_live);
               ("tric_minor_words_per_update", J.Num plain_minor);
-            ] );
-        ( "boxed_baseline",
-          J.Obj
-            [
-              ("tric_plus_upd_s", J.Num baseline_upd_s);
-              ("tric_plus_live_words", J.Num baseline_live_words);
-              ("tric_plus_minor_words_per_update", J.Num baseline_minor_per_upd);
             ] );
         ("alloc_budget_minor_words_per_update", J.Num max_minor);
       ]);

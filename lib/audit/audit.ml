@@ -186,6 +186,39 @@ let rec check_node ~report forest node ~depth ~parent_expected =
   in
   children_registered || Trie.registrations node <> []
 
+(* The edge index must file every live node exactly once, under its own
+   key and its own depth — the answering walk visits the buckets depth
+   by depth and trusts that order to be shallowest first. *)
+let check_edge_index ~report forest =
+  let live = Hashtbl.create 64 in
+  Trie.fold_nodes (fun n () -> Hashtbl.replace live (Trie.node_id n) 0) forest ();
+  Trie.fold_edge_index
+    (fun key depth nodes () ->
+      List.iter
+        (fun n ->
+          let nid = Trie.node_id n in
+          (match Hashtbl.find_opt live nid with
+          | None ->
+            report (Node nid) "trie-shape"
+              (Format.asprintf "edge index of %a lists a node not in the forest" Ekey.pp key)
+          | Some _ when not (Ekey.equal (Trie.node_key n) key) ->
+            report (Node nid) "trie-shape"
+              (Format.asprintf "edge index of %a lists a node keyed %a" Ekey.pp key Ekey.pp
+                 (Trie.node_key n))
+          | Some c -> Hashtbl.replace live nid (c + 1));
+          if Trie.node_depth n <> depth then
+            report (Node nid) "trie-shape"
+              (Format.asprintf "edge index of %a files a depth-%d node under depth %d"
+                 Ekey.pp key (Trie.node_depth n) depth))
+        nodes)
+    forest ();
+  Hashtbl.iter
+    (fun nid c ->
+      if c <> 1 then
+        report (Node nid) "trie-shape"
+          (Printf.sprintf "listed %d time(s) in its key's edge index, expected once" c))
+    live
+
 let check_registrations ~report t =
   let qviews = Tric.query_views t in
   (* Expected (qid, path_index) registrations per terminal node id — node
@@ -393,6 +426,7 @@ let check ?edges t =
               (Node (Trie.node_id root))
               "trie-shape" "orphan trie: no registration anywhere in subtree")
         (Trie.roots forest);
+      check_edge_index ~report forest;
       check_base_views ~report ~fold_base:Trie.fold_base ?edges forest)
     (Tric.forests t);
   check_registrations ~report t;

@@ -15,7 +15,9 @@
     - {b trie-shape}: node depth equals its root-path length, view widths
       are [depth + 2], parent/child links agree, every node key owns a base
       view, each query's terminal key chain spells exactly the covering
-      path's key word, and the query width matches its pattern.
+      path's key word, the query width matches its pattern, and the edge
+      index files every live node exactly once, under its own key and
+      its own depth.
     - {b routing-coherence}: every trie sits on the shard
       {!Tric_core.Route.owner} assigns to its root key, each query path's
       recorded shard is the router's verdict for its word's first key

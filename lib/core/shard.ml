@@ -31,7 +31,17 @@ let make_obs () =
     dispatches = Tric_obs.Registry.counter reg "tric_node_visits_total";
   }
 
-type t = { sid : int; cache : bool; forest : Trie.t; obs : obs option }
+(* [scratch.(d)] collects the rows a depth-[d] node gains during one
+   visit.  A descent only ever moves deeper, so a node's rows stay intact
+   while its subtree reuses the deeper slots; the next node of the same
+   depth clears the slot.  Shard-owned, like everything a task mutates. *)
+type t = {
+  sid : int;
+  cache : bool;
+  forest : Trie.t;
+  obs : obs option;
+  mutable scratch : Rows.Vec.t array;
+}
 
 let create ?(metrics = false) ~sid ~shards ~cache () =
   let obs = if metrics then Some (make_obs ()) else None in
@@ -41,11 +51,23 @@ let create ?(metrics = false) ~sid ~shards ~cache () =
     cache;
     forest = Trie.create ~id_base:sid ~id_stride:shards ?obs:trie_obs ~cache ();
     obs;
+    scratch = Array.init (max_descend_level + 1) (fun _ -> Rows.Vec.create ());
   }
 
 let sid t = t.sid
 let forest t = t.forest
 let registry t = match t.obs with Some o -> Some o.reg | None -> None
+
+(* The cleared scratch vector for a node at [depth]. *)
+let scratch t depth =
+  let n = Array.length t.scratch in
+  if depth >= n then
+    t.scratch <-
+      Array.init (max (depth + 1) (2 * n)) (fun d ->
+          if d < n then t.scratch.(d) else Rows.Vec.create ());
+  let v = t.scratch.(depth) in
+  Rows.Vec.clear v;
+  v
 
 let mem_stats t =
   Trie.fold_nodes
@@ -84,33 +106,40 @@ let timed_visit t node f =
     f ();
     Tric_obs.Histogram.observe o.descend.(level) (Unix.gettimeofday () -. t0)
 
+(* The per-update visit function, timed only with metrics on: built once
+   per update instead of one closure per matched node. *)
+let visitor t visit =
+  match t.obs with
+  | None -> visit
+  | Some _ -> fun node -> timed_visit t node (fun () -> visit node)
+
 (* Deltas leave the shard as packed flat copies: row ids are meaningless
    outside the arena (and the view) that allocated them, and the
    shard-escape rule keeps it that way statically. *)
 type delta = int * int * Rows.packed
 
-(* Per-node event accumulator.  Additions pack the freshly inserted rows
-   at record time (they are live then and stay live for the sweep);
-   removals arrive already packed (their rows are gone from the arena by
-   the time the eviction returns). *)
+(* Per-node event accumulator, holding registered nodes only: {!deltas_of}
+   reads nothing else, so unregistered nodes are observed but never
+   packed.  Additions pack the freshly inserted rows at record time
+   (they are live then and stay live for the sweep); removals arrive
+   already packed (their rows are gone from the arena by the time the
+   eviction returns). *)
 type record_tbl = (int, Trie.node * Rows.packed list ref) Hashtbl.t
 
-let record_packed t (tbl : record_tbl) node p =
-  observe_event t node (Rows.packed_count p);
+let keep (tbl : record_tbl) node p =
   match Hashtbl.find_opt tbl (Trie.node_id node) with
   | Some (_, cell) -> cell := p :: !cell
   | None -> Hashtbl.add tbl (Trie.node_id node) (node, ref [ p ])
 
-(* -- Additions (Fig. 10, shard-local) -------------------------------------- *)
+let record_rows t tbl node rows =
+  observe_event t node (Rows.Vec.length rows);
+  if Trie.is_registered node then keep tbl node (Relation.pack_rows (Trie.node_view node) rows)
 
-(* All trie nodes of this shard whose key matches the edge, shallowest
-   first so that by the time a node joins the update against its parent's
-   view, the parent's view is fully up to date. *)
-let matched_nodes t (e : Edge.t) =
-  let nodes =
-    List.concat_map (fun k -> Trie.nodes_with_key t.forest k) (Ekey.keys_of_edge e)
-  in
-  List.sort (fun a b -> Int.compare (Trie.node_depth a) (Trie.node_depth b)) nodes
+let record_packed t tbl node p =
+  observe_event t node (Rows.packed_count p);
+  if Trie.is_registered node then keep tbl node p
+
+(* -- Additions (Fig. 10, shard-local) -------------------------------------- *)
 
 (* Delta propagation: push the parent's freshly inserted rows into each
    child by joining them with the child's base view, pruning branches
@@ -118,7 +147,7 @@ let matched_nodes t (e : Edge.t) =
    child's gains are collected as row ids in the child's view — all joins
    below here move raw cells between arenas, never boxed tuples. *)
 let rec propagate t ~record node (drows : Rows.Vec.t) =
-  List.iter
+  Trie.iter_children
     (fun child ->
       match Trie.base_view t.forest (Trie.node_key child) with
       | None -> ()
@@ -127,7 +156,7 @@ let rec propagate t ~record node (drows : Rows.Vec.t) =
           let pview = Trie.node_view node in
           let cview = Trie.node_view child in
           let hinge_col = Relation.width pview - 1 in
-          let inserted = Rows.Vec.create () in
+          let inserted = scratch t (Trie.node_depth child) in
           let extend drow brow =
             let row =
               Relation.insert_extend cview ~src:pview ~row:drow
@@ -169,11 +198,11 @@ let rec propagate t ~record node (drows : Rows.Vec.t) =
               base
           end;
           if Rows.Vec.length inserted > 0 then begin
-            record child (Relation.pack_rows cview inserted);
+            record child inserted;
             propagate t ~record child inserted
           end
         end)
-    (Trie.node_children node)
+    node
 
 let handle_addition t (e : Edge.t) =
   (* Feed this shard's base views of the four generalised keys; keys no
@@ -184,45 +213,45 @@ let handle_addition t (e : Edge.t) =
       | Some base -> ignore (Relation.insert_edge_row base ~src:e.src ~dst:e.dst)
       | None -> ())
     (Ekey.keys_of_edge e);
-  (* Visit matching trie nodes shallow-first. *)
-  let inserted_at : record_tbl = Hashtbl.create 32 in
-  let record node p = record_packed t inserted_at node p in
-  List.iter
-    (fun node ->
-      timed_visit t node (fun () ->
-          let view = Trie.node_view node in
-          let inserted = Rows.Vec.create () in
-          (match Trie.node_parent node with
-          | None ->
-            let row = Relation.insert_edge_row view ~src:e.src ~dst:e.dst in
-            if row >= 0 then Rows.Vec.push inserted row
-          | Some parent ->
-            let hinge_col = Trie.node_depth node in
-            let pview = Trie.node_view parent in
-            let extend prow =
-              let row = Relation.insert_extend view ~src:pview ~row:prow ~ext:e.dst in
-              if row >= 0 then Rows.Vec.push inserted row
-            in
-            if t.cache then (
-              (* TRIC+: maintained index on the parent view's hinge. *)
-              match Relation.probe_col_rows pview ~col:hinge_col e.src with
-              | Some bucket ->
-                (* The bucket belongs to the parent's index and only the
-                   child view mutates here, so iterating it is safe. *)
-                Rows.Vec.iter extend bucket
-              | None -> ())
-            else
-              (* TRIC: scan the parent view against the single update. *)
-              Relation.iter_rows
-                (fun prow ->
-                  if Label.equal (Relation.row_col pview prow hinge_col) e.src then
-                    extend prow)
-                pview);
-          if Rows.Vec.length inserted > 0 then begin
-            record node (Relation.pack_rows view inserted);
-            propagate t ~record node inserted
-          end))
-    (matched_nodes t e);
+  (* Visit matching trie nodes shallow-first, so that by the time a node
+     joins the update against its parent's view, the parent's view is
+     fully up to date. *)
+  let inserted_at : record_tbl = Hashtbl.create 16 in
+  let record node rows = record_rows t inserted_at node rows in
+  let visit node =
+    let view = Trie.node_view node in
+    let inserted = scratch t (Trie.node_depth node) in
+    (match Trie.node_parent node with
+    | None ->
+      let row = Relation.insert_edge_row view ~src:e.src ~dst:e.dst in
+      if row >= 0 then Rows.Vec.push inserted row
+    | Some parent ->
+      let hinge_col = Trie.node_depth node in
+      let pview = Trie.node_view parent in
+      let extend prow =
+        let row = Relation.insert_extend view ~src:pview ~row:prow ~ext:e.dst in
+        if row >= 0 then Rows.Vec.push inserted row
+      in
+      if t.cache then (
+        (* TRIC+: maintained index on the parent view's hinge. *)
+        match Relation.probe_col_rows pview ~col:hinge_col e.src with
+        | Some bucket ->
+          (* The bucket belongs to the parent's index and only the
+             child view mutates here, so iterating it is safe. *)
+          Rows.Vec.iter extend bucket
+        | None -> ())
+      else
+        (* TRIC: scan the parent view against the single update. *)
+        Relation.iter_rows
+          (fun prow ->
+            if Label.equal (Relation.row_col pview prow hinge_col) e.src then extend prow)
+          pview);
+    if Rows.Vec.length inserted > 0 then begin
+      record node inserted;
+      propagate t ~record node inserted
+    end
+  in
+  Trie.iter_matched t.forest e (visitor t visit);
   inserted_at
 
 (* -- Removals (§4.3, shard-local) ------------------------------------------ *)
@@ -234,7 +263,7 @@ let handle_addition t (e : Edge.t) =
    buckets are disjoint and need no dedup.  The evictions return the
    casualties packed (snapshotted before their arena slots are freed). *)
 let rec propagate_removal ~record node (doomed : Rows.packed) =
-  List.iter
+  Trie.iter_children
     (fun child ->
       let view = Trie.node_view child in
       let doomed_child = Relation.evict_prefixed view doomed in
@@ -242,7 +271,7 @@ let rec propagate_removal ~record node (doomed : Rows.packed) =
         record child doomed_child;
         propagate_removal ~record child doomed_child
       end)
-    (Trie.node_children node)
+    node
 
 let handle_removal t (e : Edge.t) =
   let tuple = Tuple.of_edge e in
@@ -252,22 +281,26 @@ let handle_removal t (e : Edge.t) =
       | Some base -> ignore (Relation.remove base tuple)
       | None -> ())
     (Ekey.keys_of_edge e);
-  let removed_at : record_tbl = Hashtbl.create 32 in
-  let record node p = record_packed t removed_at node p in
+  let removed_at : record_tbl = Hashtbl.create 16 in
+  (* Every eviction counts towards [tuples_removed], registered or not. *)
+  let evicted = ref 0 in
+  let record node p =
+    evicted := !evicted + Rows.packed_count p;
+    record_packed t removed_at node p
+  in
   (* Shallow-first: a matched node's own hinge casualties are looked up by
      index; by the time a deeper matched node is visited, tuples already
      evicted through propagation are gone from its hinge index, so nothing
      is recorded twice. *)
-  List.iter
-    (fun node ->
-      timed_visit t node (fun () ->
-          let doomed = Relation.evict_hinge (Trie.node_view node) ~src:e.src ~dst:e.dst in
-          if Rows.packed_count doomed > 0 then begin
-            record node doomed;
-            propagate_removal ~record node doomed
-          end))
-    (matched_nodes t e);
-  removed_at
+  let visit node =
+    let doomed = Relation.evict_hinge (Trie.node_view node) ~src:e.src ~dst:e.dst in
+    if Rows.packed_count doomed > 0 then begin
+      record node doomed;
+      propagate_removal ~record node doomed
+    end
+  in
+  Trie.iter_matched t.forest e (visitor t visit);
+  (removed_at, !evicted)
 
 (* -- Batched addition sweep (shard-local) ----------------------------------- *)
 
@@ -334,12 +367,12 @@ let handle_additions_batch ?(expect = 0) t (edges : Edge.t list) =
            Int.compare (Trie.node_depth a) (Trie.node_depth b))
   in
   let inserted_at : record_tbl = Hashtbl.create 32 in
-  let record node p = record_packed t inserted_at node p in
+  let record node rows = record_rows t inserted_at node rows in
   List.iter
     (fun (node, fresh) ->
       timed_visit t node (fun () ->
           let view = Trie.node_view node in
-          let inserted = Rows.Vec.create () in
+          let inserted = scratch t (Trie.node_depth node) in
           (match Trie.node_parent node with
           | None ->
             List.iter
@@ -382,7 +415,7 @@ let handle_additions_batch ?(expect = 0) t (edges : Edge.t list) =
                 pview
             end);
           if Rows.Vec.length inserted > 0 then begin
-            record node (Relation.pack_rows view inserted);
+            record node inserted;
             propagate t ~record node inserted
           end))
     seeds;
@@ -411,17 +444,11 @@ let deltas_of (tbl : record_tbl) =
   |> List.sort (fun (q1, p1, _) (q2, p2, _) ->
          match Int.compare q1 q2 with 0 -> Int.compare p1 p2 | c -> c)
 
-let total_evicted (tbl : record_tbl) =
-  Hashtbl.fold
-    (fun _nid (_, cell) acc ->
-      List.fold_left (fun acc p -> acc + Rows.packed_count p) acc !cell)
-    tbl 0
-
 let apply_add t e = deltas_of (handle_addition t e)
 
 let apply_remove t e =
-  let removed_at = handle_removal t e in
-  (deltas_of removed_at, total_evicted removed_at)
+  let removed_at, evicted = handle_removal t e in
+  (deltas_of removed_at, evicted)
 
 let apply_removes t edges = Array.of_list (List.map (apply_remove t) edges)
 

@@ -1,3 +1,4 @@
+open Tric_graph
 open Tric_query
 open Tric_rel
 
@@ -52,13 +53,14 @@ let remove_child p nid =
   end
 
 let registrations n = List.rev n.regs
+let is_registered n = n.regs <> []
 
 type t = {
   cache : bool;
   id_base : int;
   id_stride : int;
   root_ind : node Ekey.Tbl.t;
-  edge_ind : node list ref Ekey.Tbl.t;
+  edge_ind : node list array ref Ekey.Tbl.t;
   base : Relation.t Ekey.Tbl.t;
   mutable node_count : int; (* monotone id allocator — never decremented *)
   mutable live_count : int; (* nodes currently in the forest *)
@@ -103,10 +105,23 @@ let ensure_base t key =
     Ekey.Tbl.add t.base key r;
     r
 
+(* The edge index buckets each key's nodes by depth: [!cell.(d)] holds
+   the depth-[d] nodes, newest first (the order plain prepending gave).
+   Walking the buckets in depth order is the depth-ordered list the
+   answering walk needs, and a new node still costs one prepend. *)
 let register_in_edge_ind t key node =
-  match Ekey.Tbl.find_opt t.edge_ind key with
-  | Some cell -> cell := node :: !cell
-  | None -> Ekey.Tbl.add t.edge_ind key (ref [ node ])
+  let cell =
+    match Ekey.Tbl.find_opt t.edge_ind key with
+    | Some cell -> cell
+    | None ->
+      let cell = ref [||] in
+      Ekey.Tbl.add t.edge_ind key cell;
+      cell
+  in
+  let b = !cell in
+  if node.depth >= Array.length b then
+    cell := Array.init (node.depth + 1) (fun d -> if d < Array.length b then b.(d) else []);
+  !cell.(node.depth) <- node :: !cell.(node.depth)
 
 (* Seed a fresh node's view from its parent's view joined with the key's
    base view, so late-added queries see retained state.  Both sides are
@@ -204,8 +219,21 @@ let insert_path t keys ~qid ~path_index =
 
 let base_view t key = Ekey.Tbl.find_opt t.base key
 
-let nodes_with_key t key =
-  match Ekey.Tbl.find_opt t.edge_ind key with Some cell -> !cell | None -> []
+let buckets t key = match Ekey.Tbl.find_opt t.edge_ind key with Some cell -> !cell | None -> [||]
+let nodes_with_key t key = List.concat (Array.to_list (buckets t key))
+
+(* Depth by depth, the edge's four keys in [Ekey.keys_of_edge] order,
+   each bucket in list order — exactly a stable sort of the keys'
+   concatenated node lists by depth, without building it. *)
+let iter_matched t (e : Edge.t) f =
+  let keys = Array.of_list (List.map (buckets t) (Ekey.keys_of_edge e)) in
+  let depths = Array.fold_left (fun m b -> max m (Array.length b)) 0 keys in
+  for d = 0 to depths - 1 do
+    for k = 0 to Array.length keys - 1 do
+      let b = keys.(k) in
+      if d < Array.length b then List.iter f b.(d)
+    done
+  done
 
 let roots t = Ekey.Tbl.fold (fun _ n acc -> n :: acc) t.root_ind []
 let num_tries t = Ekey.Tbl.length t.root_ind
@@ -232,8 +260,9 @@ let prune t node =
     if n.regs = [] && n.nchildren = 0 then begin
       (match Ekey.Tbl.find_opt t.edge_ind n.key with
       | Some cell ->
-        cell := List.filter (fun m -> m.nid <> n.nid) !cell;
-        if !cell = [] then begin
+        let b = !cell in
+        b.(n.depth) <- List.filter (fun m -> m.nid <> n.nid) b.(n.depth);
+        if Array.for_all (fun l -> l = []) b then begin
           Ekey.Tbl.remove t.edge_ind n.key;
           Ekey.Tbl.remove t.base n.key
         end
@@ -261,6 +290,13 @@ let fold_nodes f t init =
   List.fold_left (fun acc r -> go r acc) init (roots t)
 
 let fold_base f t init = Ekey.Tbl.fold f t.base init
+let fold_edge_index f t init =
+  Ekey.Tbl.fold
+    (fun k cell acc ->
+      let acc = ref acc in
+      Array.iteri (fun d nodes -> acc := f k d nodes !acc) !cell;
+      !acc)
+    t.edge_ind init
 
 let pp fmt t =
   let rec pp_node fmt n =
@@ -274,3 +310,30 @@ let pp fmt t =
   Format.fprintf fmt "@[<v>forest: %d tries, %d nodes" (num_tries t) (num_nodes t);
   List.iter (fun r -> Format.fprintf fmt "@,%a" pp_node r) (roots t);
   Format.fprintf fmt "@]"
+
+module Corrupt = struct
+  let pick_key t p =
+    Ekey.Tbl.fold (fun _ cell acc -> match acc with None when p !cell -> Some cell | _ -> acc)
+      t.edge_ind None
+
+  let occupied b = Array.fold_left (fun n l -> if l = [] then n else n + 1) 0 b
+
+  let disorder_edge_index t =
+    match pick_key t (fun b -> occupied b >= 2) with
+    | Some cell ->
+      cell := Array.of_list (List.rev (Array.to_list !cell));
+      true
+    | None -> false
+
+  let drop_edge_index_entry t =
+    match pick_key t (fun b -> occupied b >= 1) with
+    | Some cell ->
+      let b = !cell in
+      let d = ref 0 in
+      while b.(!d) = [] do
+        incr d
+      done;
+      b.(!d) <- List.tl b.(!d);
+      true
+    | None -> false
+end

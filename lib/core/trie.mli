@@ -10,9 +10,10 @@
 
     The forest also owns:
     - [rootInd]: key of a first path edge → trie root;
-    - [edgeInd]: key → every node carrying that key, across all tries (the
-      flattened form of the paper's "edgeInd + DFS locate" — it enumerates
-      exactly the nodes the paper's traversal finds);
+    - [edgeInd]: key → every node carrying that key, across all tries,
+      bucketed by depth (the flattened form of the paper's "edgeInd + DFS
+      locate" — it enumerates exactly the nodes the paper's traversal
+      finds);
     - the base views [matV[e]]: key → width-2 relation of all updates that
       matched the key so far. *)
 
@@ -28,11 +29,20 @@ val node_depth : node -> int
 
 val node_view : node -> Relation.t
 val node_parent : node -> node option
+
 val node_children : node -> node list
+(** A fresh list copy of the children — for cold paths (audit, printing).
+    The answering walks use {!iter_children}. *)
+
+val iter_children : (node -> unit) -> node -> unit
+(** The children in insertion order, read in place. *)
 
 val registrations : node -> (int * int) list
 (** [(query id, covering-path index)] pairs registered at this node — the
     paper's query identifiers stored "at the last node of the trie path". *)
+
+val is_registered : node -> bool
+(** Whether any registration sits here — without building the list. *)
 
 val deregister : node -> qid:int -> unit
 (** Drop every registration of the given query id at this node (other
@@ -70,6 +80,20 @@ val insert_path : t -> Ekey.t list -> qid:int -> path_index:int -> node
 
 val base_view : t -> Ekey.t -> Relation.t option
 val nodes_with_key : t -> Ekey.t -> node list
+(** Every live node carrying the key, in non-decreasing depth order
+    (newest first among equal depths) — a fresh list, for cold paths. *)
+
+val iter_matched : t -> Tric_graph.Edge.t -> (node -> unit) -> unit
+(** Every node whose key generalises the edge, shallowest first: depth
+    by depth, the four keys of {!Ekey.keys_of_edge} in order, each
+    key's nodes of that depth newest first — the order a stable sort of
+    the keys' concatenated {!nodes_with_key} lists by depth gives, read
+    in place with no list built. *)
+
+val fold_edge_index : (Ekey.t -> int -> node list -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the edge index's [(key, depth, nodes)] buckets (audit): the
+    nodes a key files under one depth, newest first. *)
+
 val roots : t -> node list
 
 val num_nodes : t -> int
@@ -99,3 +123,17 @@ val fold_base : (Ekey.t -> Relation.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over every base view [matV[e]] with its key (audit/inspection). *)
 
 val pp : Format.formatter -> t -> unit
+
+(** Test-only corruption hooks for the edge index; each breaks one
+    property the trie-shape audit checks.  Never call these outside
+    tests. *)
+module Corrupt : sig
+  val disorder_edge_index : t -> bool
+  (** Reverse the depth buckets of some key whose nodes span two or more
+      depths, so nodes sit under the wrong depth and deeper ones are
+      walked first.  [false] if no key's nodes do. *)
+
+  val drop_edge_index_entry : t -> bool
+  (** Unlink some node from its key's bucket while it stays in the
+      forest.  [false] if the index is empty. *)
+end

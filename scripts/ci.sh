@@ -18,7 +18,14 @@ dune runtest
 # prove each fails on a seeded violation, then scan the tree.
 ./scripts/lint.sh
 seeded=$(mktemp -d)
-trap 'rm -rf "$seeded"' EXIT
+# Bench smokes run at toy sizes; they write their BENCH_*.json here, so
+# the tracked reports keep their full-size figures.
+benchout=$(mktemp -d)
+trap 'rm -rf "$seeded" "$benchout"' EXIT
+root=$(pwd)
+bench() {
+  (cd "$benchout" && env "$@" "$root/_build/default/bench/main.exe")
+}
 printf 'let sorted l = List.sort compare l\n' > "$seeded/bad.ml"
 if ./_build/default/bin/lint.exe "$seeded" >/dev/null 2>&1; then
   echo "ci: lint failed to flag a seeded violation" >&2
@@ -87,29 +94,27 @@ rm -f "$auditds"
 # Telemetry overhead smoke: metrics-on vs metrics-off throughput on the
 # same batched replay must stay within the TRIC_OVERHEAD_MAX_PCT budget
 # (default 5%); the strict mode exits non-zero past it.
-TRIC_OVERHEAD_ONLY=1 TRIC_OVERHEAD_EDGES=2000 TRIC_OVERHEAD_QDB=50 \
-  dune exec bench/main.exe
+bench TRIC_OVERHEAD_ONLY=1 TRIC_OVERHEAD_EDGES=2000 TRIC_OVERHEAD_QDB=50
 
 # Allocation-regression smoke: the packed row-store layout report (live
 # heap words + upd/s, BENCH_layout.json emission path) in strict mode —
 # mean minor words allocated per update must stay under
-# TRIC_ALLOC_MAX_WORDS (default 60k); boxed-tuple regressions on the hot
+# TRIC_ALLOC_MAX_WORDS (default 2,000); boxed-tuple regressions on the hot
 # path trip this before they show up in throughput.
-TRIC_LAYOUT_ONLY=1 TRIC_LAYOUT_EDGES=1000 TRIC_LAYOUT_QDB=50 \
-  dune exec bench/main.exe
+bench TRIC_LAYOUT_ONLY=1 TRIC_LAYOUT_EDGES=1000 TRIC_LAYOUT_QDB=50
 
 # Bench smoke: a tiny batched-ingestion throughput run, so the bench
 # executable's non-bechamel paths stay exercised by CI.
-TRIC_BATCH_ONLY=1 TRIC_BATCH_EDGES=1000 TRIC_BATCH_QDB=50 dune exec bench/main.exe
+bench TRIC_BATCH_ONLY=1 TRIC_BATCH_EDGES=1000 TRIC_BATCH_QDB=50
 
 # Shard-scaling smoke: 1/2/4/8-domain dispatch of the same stream plus the
 # BENCH_shard.json emission path.
-TRIC_SHARD_ONLY=1 TRIC_SHARD_EDGES=1000 TRIC_SHARD_QDB=50 dune exec bench/main.exe
+bench TRIC_SHARD_ONLY=1 TRIC_SHARD_EDGES=1000 TRIC_SHARD_QDB=50
 
 # Window smoke: the timestamped windowed replay (expiry amortization,
 # lateness) plus the BENCH_window.json emission path, and the
 # torn-journal crash-recovery path straight from the suite.
-TRIC_WINDOW_ONLY=1 TRIC_WINDOW_EDGES=1000 TRIC_WINDOW_QDB=50 dune exec bench/main.exe
+bench TRIC_WINDOW_ONLY=1 TRIC_WINDOW_EDGES=1000 TRIC_WINDOW_QDB=50
 dune exec test/test_main.exe -- test durability 3 > /dev/null
 
 # Subscription-server smoke, three layers: (1) the kill -9 torture from
@@ -151,14 +156,13 @@ wait "$srvpid"
 ./_build/default/bin/tric_cli.exe stats --check "$srvdir/metrics.json"
 rm -rf "$srvdir"
 
-TRIC_SERVER_ONLY=1 TRIC_SERVER_SUBS=200 TRIC_SERVER_EDGES=500 \
-  dune exec bench/main.exe
+bench TRIC_SERVER_ONLY=1 TRIC_SERVER_SUBS=200 TRIC_SERVER_EDGES=500
 
 # Dispatch-fanout smoke: under a label-partitioned workload every update
 # affects exactly one shard, so the mean ops-dispatched-per-shard-per-update
 # must stay near 1.0 — the strict mode exits non-zero past TRIC_FANOUT_MAX
 # (default 1.5), which a broadcast dispatcher (fanout = nshards = 4) trips.
-TRIC_FANOUT_ONLY=1 dune exec bench/main.exe
+bench TRIC_FANOUT_ONLY=1
 
 # Harness smoke at a high scale factor: small enough to finish in seconds,
 # and fig12a's stream shrinks below its checkpoint count, which is exactly

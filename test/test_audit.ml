@@ -145,6 +145,25 @@ let test_arena_corruption_detected () =
   check_classes "only arena-integrity trips" [ "arena-integrity" ]
     (Audit.check ~edges t)
 
+let test_edge_index_mutations_detected () =
+  (* The answering walk reads the edge index's depth buckets shallowest
+     first, trusting every node to sit once under its own depth.  A
+     fourth query puts [(a,?,?)] at depths 0 and 1, so some key spans two
+     depths; reversed buckets and a live node unlinked from its bucket
+     must each trip exactly trie-shape. *)
+  List.iter
+    (fun (name, corrupt) ->
+      let t, edges = build () in
+      Tric.add_query t (Helpers.pattern ~id:4 "?x -b-> ?y; ?y -a-> ?z");
+      check_classes (name ^ ": clean before") [] (Audit.check ~edges t);
+      Alcotest.(check bool) (name ^ " applied") true (corrupt (Tric.forest t));
+      check_classes (name ^ ": only trie-shape trips") [ "trie-shape" ]
+        (Audit.check ~edges t))
+    [
+      ("disorder_edge_index", Trie.Corrupt.disorder_edge_index);
+      ("drop_edge_index_entry", Trie.Corrupt.drop_edge_index_entry);
+    ]
+
 let test_removed_query_warns_only () =
   let t, edges = build () in
   Alcotest.(check bool) "query removed" true (Tric.remove_query t 3);
@@ -251,6 +270,7 @@ let suite =
     Alcotest.test_case "dropped index bucket detected" `Quick test_dropped_index_bucket_detected;
     Alcotest.test_case "phantom base tuple detected" `Quick test_phantom_base_tuple_detected;
     Alcotest.test_case "arena corruption detected" `Quick test_arena_corruption_detected;
+    Alcotest.test_case "edge-index mutations detected" `Quick test_edge_index_mutations_detected;
     Alcotest.test_case "removed query leaves warnings only" `Quick test_removed_query_warns_only;
     Alcotest.test_case "sharded clean; misrouted path detected" `Quick
       test_sharded_clean_and_misroute_detected;

@@ -527,6 +527,73 @@ let test_sharded_forest_access () =
       (* Shutdown is idempotent. *)
       Tric.shutdown t)
 
+let test_cross_key_depth_order () =
+  (* One edge [v1 -a-> v1] matches [(a,?,?)] at depths 0 and 2 (two
+     queries' nodes) and the constant-source [(a,v1,?)] at depth 1, whose
+     child the depth-2 node is.  The shallow query is registered first,
+     so a single newest-first list per key would put the deep node ahead
+     of it; the walk must still run depth 0, 1, 2 across both keys. *)
+  let queries () =
+    [
+      Helpers.pattern ~id:1 "?x -a-> ?y";
+      Helpers.pattern ~id:2 "?w -b-> v1; v1 -a-> ?y; ?y -a-> ?z";
+    ]
+  in
+  let stream =
+    Helpers.updates
+      [
+        "u -b-> v1"; "v1 -a-> v1"; "v1 -a-> v2"; "v2 -a-> v3"; "- v1 -a-> v1";
+        "w -b-> v1"; "v1 -a-> v1"; "- u -b-> v1"; "v3 -a-> v1";
+      ]
+  in
+  let t = Tric.create ~cache:true () in
+  List.iter (Tric.add_query t) (queries ());
+  let f = Tric.forest t in
+  let var_key = { Ekey.label = Tric_graph.Label.intern "a"; src = Ekey.Kvar; dst = Ekey.Kvar } in
+  Alcotest.(check (list int)) "(a,?,?) list is depth-ordered" [ 0; 2 ]
+    (List.map Trie.node_depth (Trie.nodes_with_key f var_key));
+  let visited = ref [] in
+  Trie.iter_matched f (Helpers.edge "v1 -a-> v1") (fun n ->
+      visited := Format.asprintf "%d:%a" (Trie.node_depth n) Ekey.pp (Trie.node_key n) :: !visited);
+  Alcotest.(check (list string)) "shallowest first across keys"
+    [ "0:a=(?var,?var)"; "1:a=(v1,?var)"; "2:a=(?var,?var)" ]
+    (List.rev !visited);
+  List.iter
+    (fun cache ->
+      Helpers.differential
+        ~engine:(Engine.Matcher.of_tric (Tric.create ~cache ()))
+        ~queries:(queries ()) ~stream;
+      (* Batched: after every window the engine holds the oracle's
+         matches. *)
+      let batched = Tric.create ~cache () in
+      let oracle = Engine.Engines.naive () in
+      List.iter
+        (fun q ->
+          Tric.add_query batched q;
+          oracle.Engine.Matcher.add_query q)
+        (queries ());
+      let rec windows = function
+        | a :: b :: c :: rest -> [ a; b; c ] :: windows rest
+        | [] -> []
+        | rest -> [ rest ]
+      in
+      List.iteri
+        (fun i w ->
+          ignore (Tric.handle_batch batched w);
+          List.iter (fun u -> ignore (oracle.Engine.Matcher.handle_update u)) w;
+          List.iter
+            (fun qid ->
+              let sorted m = List.sort Tric_rel.Embedding.compare m in
+              Alcotest.(check int)
+                (Printf.sprintf "cache=%b window %d Q%d matches" cache i qid)
+                0
+                (List.compare Tric_rel.Embedding.compare
+                   (sorted (Tric.current_matches batched qid))
+                   (sorted (oracle.Engine.Matcher.current_matches qid))))
+            [ 1; 2 ])
+        (windows stream))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "fig4 covering paths" `Quick test_fig4_covering_paths;
@@ -548,6 +615,7 @@ let suite =
       test_dispatch_fanout_after_churn;
     Alcotest.test_case "empty key word is unroutable" `Quick
       test_route_place_rejects_empty_word;
+    Alcotest.test_case "cross-key depth order" `Quick test_cross_key_depth_order;
     Alcotest.test_case "batch cancellation" `Quick test_batch_cancellation;
     Alcotest.test_case "batch dedup and re-add" `Quick test_batch_dedup_and_readd;
     Alcotest.test_case "batch net removal" `Quick test_batch_net_removal;
