@@ -168,11 +168,9 @@ let rec propagate t ~record node (drows : Rows.Vec.t) =
             (* TRIC+: probe the maintained index of the base view. *)
             Rows.Vec.iter
               (fun drow ->
-                match
-                  Relation.probe_col_rows base ~col:0 (Relation.row_col pview drow hinge_col)
-                with
-                | Some bucket -> Rows.Vec.iter (fun brow -> extend drow brow) bucket
-                | None -> ())
+                Relation.iter_col_rows base ~col:0
+                  (Relation.row_col pview drow hinge_col)
+                  (fun brow -> extend drow brow))
               drows
           else begin
             (* TRIC: classic hash join — build on the smaller side (the
@@ -232,14 +230,11 @@ let handle_addition t (e : Edge.t) =
         let row = Relation.insert_extend view ~src:pview ~row:prow ~ext:e.dst in
         if row >= 0 then Rows.Vec.push inserted row
       in
-      if t.cache then (
-        (* TRIC+: maintained index on the parent view's hinge. *)
-        match Relation.probe_col_rows pview ~col:hinge_col e.src with
-        | Some bucket ->
-          (* The bucket belongs to the parent's index and only the
-             child view mutates here, so iterating it is safe. *)
-          Rows.Vec.iter extend bucket
-        | None -> ())
+      if t.cache then
+        (* TRIC+: maintained index on the parent view's hinge.  Only the
+           child view mutates here, so walking the parent's chain is
+           safe. *)
+        Relation.iter_col_rows pview ~col:hinge_col e.src extend
       else
         (* TRIC: scan the parent view against the single update. *)
         Relation.iter_rows
@@ -391,9 +386,8 @@ let handle_additions_batch ?(expect = 0) t (edges : Edge.t list) =
               (* TRIC+: maintained index on the parent view's hinge column. *)
               List.iter
                 (fun (e : Edge.t) ->
-                  match Relation.probe_col_rows pview ~col:hinge_col e.src with
-                  | Some bucket -> Rows.Vec.iter (fun prow -> extend prow e.dst) bucket
-                  | None -> ())
+                  Relation.iter_col_rows pview ~col:hinge_col e.src (fun prow ->
+                      extend prow e.dst))
                 fresh
             else begin
               (* TRIC: build on the batch's key delta, scan the parent once

@@ -21,21 +21,38 @@ let make_obs reg ~prefix ~stable =
     o_delta_probes = c "delta_probes_total";
   }
 
-(* Every index is a bucket of row ids into the relation's arena:
+(* Every index files row ids of the relation's arena:
    - the prefix/hinge delta indexes key buckets by the Tuple-compatible
      hash of the relevant column range (collisions are tolerated — probes
      re-check cell equality);
-   - the cache-mode column indexes key buckets by the exact column label
-     (their bucket count is an observable statistic).
-   The dedup set is different: it is the one structure paid for by every
-   row of every relation, so it is a flat open-addressing table of row
-   ids (linear probing against arena cell content) rather than a
-   hash->bucket Hashtbl — ~2-4 words per row instead of ~10. *)
+   - the cache-mode column indexes ([colidx] below) chain the rows of each
+     exact column label through a per-index [next] array;
+   - the dedup set is the one structure paid for by every row of every
+     relation, so it is a flat open-addressing table of row ids (linear
+     probing against arena cell content) rather than a hash->bucket
+     Hashtbl — ~2-4 words per row instead of ~10. *)
 type hash_index = (int, Rows.Vec.t) Hashtbl.t
 
-(* Dedup slot markers: any value >= 0 is a filed row id. *)
+(* Open-addressing slot markers of the dedup and column tables: any value
+   >= 0 is a filed row id (dedup) or label int (column keys). *)
 let dempty = -1
 let dtomb = -2
+
+(* A cached hash-join index on one column (paper §4.2 "Caching"): an
+   open-addressing table (linear probing, load <= 1/2, tombstones) from
+   the column's label int to the first and last row of that label's
+   chain; the chains are threaded through [next], indexed by row id and
+   grown with the arena.  Chains keep insertion order, a key whose chain
+   empties is tombstoned at once, and a miss reads one [keys] slot. *)
+type colidx = {
+  col : int;
+  mutable keys : int array; (* slot -> label int, [dempty] or [dtomb] *)
+  mutable heads : int array; (* slot -> first row of the key's chain *)
+  mutable tails : int array; (* slot -> last row of the key's chain *)
+  mutable nkeys : int; (* filed keys *)
+  mutable ntombs : int; (* tombstones awaiting the next rehash *)
+  mutable next : int array; (* row -> next row of its chain, or -1 *)
+}
 
 type t = {
   width : int;
@@ -44,7 +61,7 @@ type t = {
   mutable dslots : int array; (* membership: open-addressing row-id table *)
   mutable dcount : int; (* filed rows *)
   mutable dtombs : int; (* tombstones awaiting the next rehash *)
-  indexes : (int, Rows.Vec.t Label.Tbl.t) Hashtbl.t; (* cache mode only *)
+  mutable indexes : colidx array; (* cache mode only; scanned by column *)
   mutable prefix_idx : hash_index option; (* first (width-1) columns *)
   mutable hinge_idx : hash_index option; (* last two columns *)
   mutable runs : (int * int array) list; (* col -> sorted row run (cold) *)
@@ -56,10 +73,13 @@ type t = {
   obs : obs option;
 }
 
-(* Smallest power of two with room for [n] filed rows at load <= 1/2. *)
-let dsize_for n =
+(* Smallest power of two, at least [least], with room for [n] filed
+   entries at load <= 1/2. *)
+let slots_for ~least n =
   let rec go c = if c >= (2 * n) + 2 then c else go (2 * c) in
-  go 16
+  go least
+
+let dsize_for = slots_for ~least:16
 
 let create ?(cache = false) ?obs ?(expect = 0) ~width () =
   {
@@ -69,7 +89,7 @@ let create ?(cache = false) ?obs ?(expect = 0) ~width () =
     dslots = Array.make (dsize_for expect) dempty;
     dcount = 0;
     dtombs = 0;
-    indexes = Hashtbl.create 4;
+    indexes = [||];
     prefix_idx = None;
     hinge_idx = None;
     runs = [];
@@ -186,27 +206,134 @@ let mem r t =
     find_cells r r.scratch 0 >= 0
   end
 
+(* -- Column index: chained open-addressing table ------------------------------ *)
+
+(* Column tables start at half the dedup table's minimum: an index exists
+   per (view, column) pair, so the many small views pay less. *)
+let csize_for = slots_for ~least:8
+
+(* Label ints are dense, so an identity hash would lay consecutive labels
+   out as one long linear-probing run; mix the bits first. *)
+let chash key =
+  let h = key * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+(* The probe loops are top-level functions rather than local closures, so
+   a lookup allocates nothing. *)
+let rec cprobe keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i else if k = dempty then -1 else cprobe keys mask key ((i + 1) land mask)
+
+(* The slot filing [key], or -1.  The growth policy keeps at least one
+   [dempty] slot, so the probe terminates. *)
+let cfind ci key =
+  let keys = ci.keys in
+  let mask = Array.length keys - 1 in
+  cprobe keys mask key (chash key land mask)
+
+(* First empty or tombstoned slot from [i]. *)
+let rec cfree keys mask i =
+  if Array.unsafe_get keys i < 0 then i else cfree keys mask ((i + 1) land mask)
+
+(* Re-place every filed key into fresh [size]-slot arrays (drops tombstones). *)
+let crehash ci size =
+  let keys = Array.make size dempty in
+  let heads = Array.make size (-1) and tails = Array.make size (-1) in
+  let mask = size - 1 in
+  for s = 0 to Array.length ci.keys - 1 do
+    let k = ci.keys.(s) in
+    if k >= 0 then begin
+      let i = cfree keys mask (chash k land mask) in
+      keys.(i) <- k;
+      heads.(i) <- ci.heads.(s);
+      tails.(i) <- ci.tails.(s)
+    end
+  done;
+  ci.keys <- keys;
+  ci.heads <- heads;
+  ci.tails <- tails;
+  ci.ntombs <- 0
+
+(* Append [row] to the chain of its column label, filing the label (in the
+   first reusable slot, growing first so the load stays under 1/2) if it
+   is new. *)
+let col_add r ci row =
+  if row >= Array.length ci.next then begin
+    let next = Array.make (max (2 * Array.length ci.next) (Rows.capacity r.arena)) (-1) in
+    Array.blit ci.next 0 next 0 (Array.length ci.next);
+    ci.next <- next
+  end;
+  ci.next.(row) <- -1;
+  let key = Rows.get r.arena row ci.col in
+  let s = cfind ci key in
+  if s >= 0 then begin
+    ci.next.(ci.tails.(s)) <- row;
+    ci.tails.(s) <- row
+  end
+  else begin
+    if 2 * (ci.nkeys + ci.ntombs + 1) > Array.length ci.keys then
+      crehash ci (csize_for (ci.nkeys + 1));
+    let mask = Array.length ci.keys - 1 in
+    let i = cfree ci.keys mask (chash key land mask) in
+    if ci.keys.(i) = dtomb then ci.ntombs <- ci.ntombs - 1;
+    ci.keys.(i) <- key;
+    ci.heads.(i) <- row;
+    ci.tails.(i) <- row;
+    ci.nkeys <- ci.nkeys + 1
+  end
+
+(* Splice [row] out of the chain walked from [prev]; its predecessor, or
+   -1 if the chain does not hold it. *)
+let rec cunlink next row prev =
+  let cur = next.(prev) in
+  if cur = row then begin
+    next.(prev) <- next.(row);
+    prev
+  end
+  else if cur < 0 then -1
+  else cunlink next row cur
+
+(* Unlink [row] from its label's chain; a chain that empties tombstones
+   its key, so no empty chain stays filed. *)
+let col_remove r ci row =
+  let s = cfind ci (Rows.get r.arena row ci.col) in
+  if s >= 0 then begin
+    if ci.heads.(s) = row then begin
+      let nx = ci.next.(row) in
+      if nx >= 0 then ci.heads.(s) <- nx
+      else begin
+        ci.keys.(s) <- dtomb;
+        ci.nkeys <- ci.nkeys - 1;
+        ci.ntombs <- ci.ntombs + 1
+      end
+    end
+    else begin
+      let prev = cunlink ci.next row ci.heads.(s) in
+      if prev >= 0 && ci.tails.(s) = row then ci.tails.(s) <- prev
+    end
+  end
+
+(* Call [f] on each row chained under [key], in insertion order.  [f] must
+   not mutate the indexed relation. *)
+let citer ci key f =
+  let s = cfind ci key in
+  if s >= 0 then begin
+    let next = ci.next in
+    let row = ref (Array.unsafe_get ci.heads s) in
+    while !row >= 0 do
+      let cur = !row in
+      row := Array.unsafe_get next cur;
+      f cur
+    done
+  end
+
 (* -- Index maintenance ------------------------------------------------------- *)
 
-let col_index_add r idx col row =
-  let l = row_col r row col in
-  match Label.Tbl.find_opt idx l with
-  | Some v -> Rows.Vec.push v row
-  | None ->
-    let v = Rows.Vec.create () in
-    Rows.Vec.push v row;
-    Label.Tbl.add idx l v
-
-let col_index_remove r idx col row =
-  let l = row_col r row col in
-  match Label.Tbl.find_opt idx l with
-  | Some v ->
-    ignore (Rows.Vec.remove_value v row);
-    if Rows.Vec.length v = 0 then Label.Tbl.remove idx l
-  | None -> ()
-
 let index_after_insert r row =
-  Hashtbl.iter (fun col idx -> col_index_add r idx col row) r.indexes;
+  let idxs = r.indexes in
+  for i = 0 to Array.length idxs - 1 do
+    col_add r (Array.unsafe_get idxs i) row
+  done;
   (match r.prefix_idx with
   | Some idx -> hadd idx (Rows.hash_prefix r.arena row) row
   | None -> ());
@@ -215,7 +342,10 @@ let index_after_insert r row =
   | None -> ()
 
 let index_before_remove r row =
-  Hashtbl.iter (fun col idx -> col_index_remove r idx col row) r.indexes;
+  let idxs = r.indexes in
+  for i = 0 to Array.length idxs - 1 do
+    col_remove r (Array.unsafe_get idxs i) row
+  done;
   (match r.prefix_idx with
   | Some idx -> hremove idx (Rows.hash_prefix r.arena row) row
   | None -> ());
@@ -410,42 +540,50 @@ let evict_prefixed r parents =
 
 (* -- Column indexes (the caching switch) ------------------------------------- *)
 
-let ensure_col_idx r col =
-  match Hashtbl.find_opt r.indexes col with
-  | Some idx -> idx
-  | None ->
-    let idx = Label.Tbl.create (max 16 (cardinality r)) in
-    Rows.iter_live (fun row -> col_index_add r idx col row) r.arena;
-    r.rebuilds <- r.rebuilds + 1;
-    (match r.obs with Some o -> Tric_obs.Registry.incr o.o_rebuilds | None -> ());
-    Hashtbl.add r.indexes col idx;
-    idx
+let build_col_idx r col =
+  let size = csize_for (cardinality r) in
+  let ci =
+    {
+      col;
+      keys = Array.make size dempty;
+      heads = Array.make size (-1);
+      tails = Array.make size (-1);
+      nkeys = 0;
+      ntombs = 0;
+      next = Array.make (max 1 (Rows.capacity r.arena)) (-1);
+    }
+  in
+  Rows.iter_live (fun row -> col_add r ci row) r.arena;
+  r.rebuilds <- r.rebuilds + 1;
+  (match r.obs with Some o -> Tric_obs.Registry.incr o.o_rebuilds | None -> ());
+  ci
 
-let probe_of r idx key =
-  match Label.Tbl.find_opt idx key with
-  | Some v -> Rows.Vec.fold (fun row acc -> row_tuple r row :: acc) v []
-  | None -> []
+let rec find_col idxs col i =
+  if i >= Array.length idxs then -1
+  else if (Array.unsafe_get idxs i).col = col then i
+  else find_col idxs col (i + 1)
+
+let ensure_col_idx r col =
+  let i = find_col r.indexes col 0 in
+  if i >= 0 then Array.unsafe_get r.indexes i
+  else begin
+    let ci = build_col_idx r col in
+    r.indexes <- Array.append r.indexes [| ci |];
+    ci
+  end
+
+let probe_of r ci key =
+  let out = ref [] in
+  citer ci (Label.to_int key) (fun row -> out := row_tuple r row :: !out);
+  !out
 
 let index_on r ~col =
   if col < 0 || col >= r.width then invalid_arg "Relation.index_on: bad column";
-  if r.cache then begin
-    let idx = ensure_col_idx r col in
-    probe_of r idx
-  end
-  else begin
-    let idx = Label.Tbl.create (max 16 (cardinality r)) in
-    Rows.iter_live (fun row -> col_index_add r idx col row) r.arena;
-    r.rebuilds <- r.rebuilds + 1;
-    (match r.obs with Some o -> Tric_obs.Registry.incr o.o_rebuilds | None -> ());
-    probe_of r idx
-  end
+  probe_of r (if r.cache then ensure_col_idx r col else build_col_idx r col)
 
-(* Cache-mode row-level probe: the live bucket of the maintained column
-   index.  The returned vector is the index's own bucket — callers must
-   not mutate this relation while iterating it. *)
-let probe_col_rows r ~col key =
-  if not r.cache then invalid_arg "Relation.probe_col_rows: relation is not caching";
-  Label.Tbl.find_opt (ensure_col_idx r col) key
+let iter_col_rows r ~col key f =
+  if not r.cache then invalid_arg "Relation.iter_col_rows: relation is not caching";
+  citer (ensure_col_idx r col) (Label.to_int key) f
 
 let probe_scan r ~col value =
   let v = Label.to_int value in
@@ -529,8 +667,7 @@ let stats_delta_probes r = r.delta_probes
 let stats_inserts r = r.inserts
 let stats_removes r = r.removes
 
-let stats_index_buckets r =
-  Hashtbl.fold (fun _ idx acc -> acc + Label.Tbl.length idx) r.indexes 0
+let stats_index_buckets r = Array.fold_left (fun acc ci -> acc + ci.nkeys) 0 r.indexes
 
 let clear r =
   (* Release every slot back through the normal path so the arena stays
@@ -541,7 +678,7 @@ let clear r =
   r.dslots <- Array.make 16 dempty;
   r.dcount <- 0;
   r.dtombs <- 0;
-  Hashtbl.reset r.indexes;
+  r.indexes <- [||];
   r.prefix_idx <- None;
   r.hinge_idx <- None;
   r.runs <- [];
@@ -593,36 +730,65 @@ let audit_hash_index ~what ~hash_of (idx : hash_index) r report =
              (row_tuple r row)))
     r.arena
 
-let audit_col_index ~what idx col r report =
-  Label.Tbl.iter
-    (fun l bucket ->
-      if Rows.Vec.length bucket = 0 then
+(* One chained column index against the live row set: every filed key is
+   findable by probing and has a non-empty chain whose [tails] entry is
+   its last row; every chained row is live (else an arena-ownership
+   violation), carries the chain's key in the indexed column and is
+   chained exactly once; the key/tombstone counts match the arrays; and
+   every live row is reachable.  A walk stops at the first row it has
+   already seen, so it takes at most high-water steps and a cycle cannot
+   hang the audit. *)
+let audit_col_index ci r report =
+  let what = Printf.sprintf "column-%d index" ci.col in
+  let hw = Rows.high_water r.arena in
+  let seen = Bytes.make hw '\000' in
+  let filed = ref 0 and tombs = ref 0 in
+  let rec walk s key prev row =
+    if row < 0 then begin
+      if ci.tails.(s) <> prev then
         report "index-coherence"
-          (Format.asprintf "%s: empty bucket %a kept alive" what Label.pp l)
-      else
-        Rows.Vec.iter
-          (fun row ->
-            if not (Rows.is_live r.arena row) then
-              report "arena-integrity"
-                (Format.asprintf "%s: bucket %a holds dangling row id %d" what Label.pp l
-                   row)
-            else if not (Label.equal (row_col r row col) l) then
-              report "index-coherence"
-                (Format.asprintf "%s: row %a filed under wrong key %a" what Tuple.pp
-                   (row_tuple r row) Label.pp l))
-          bucket)
-    idx;
+          (Printf.sprintf "%s: key %d ends at row %d but its tail says %d" what key prev
+             ci.tails.(s))
+    end
+    else if row >= Array.length ci.next || not (Rows.is_live r.arena row) then
+      report "arena-integrity"
+        (Printf.sprintf "%s: chain of key %d holds dangling row id %d" what key row)
+    else if Bytes.get seen row <> '\000' then
+      report "index-coherence"
+        (Printf.sprintf "%s: row %d chained twice (reached again under key %d)" what row key)
+    else begin
+      Bytes.set seen row '\001';
+      if Rows.get r.arena row ci.col <> key then
+        report "index-coherence"
+          (Format.asprintf "%s: row %d (%a) filed under wrong key %d" what row Tuple.pp
+             (row_tuple r row) key);
+      walk s key row ci.next.(row)
+    end
+  in
+  Array.iteri
+    (fun s key ->
+      if key = dtomb then incr tombs
+      else if key <> dempty then begin
+        incr filed;
+        if cfind ci key <> s then
+          report "index-coherence"
+            (Printf.sprintf "%s: key %d in slot %d is not findable" what key s);
+        if ci.heads.(s) < 0 then
+          report "index-coherence" (Printf.sprintf "%s: empty chain of key %d kept alive" what key)
+        else walk s key (-1) ci.heads.(s)
+      end)
+    ci.keys;
+  if !filed <> ci.nkeys then
+    report "index-coherence"
+      (Printf.sprintf "%s: %d filed key(s) but count says %d" what !filed ci.nkeys);
+  if !tombs <> ci.ntombs then
+    report "index-coherence"
+      (Printf.sprintf "%s: %d tombstone(s) but count says %d" what !tombs ci.ntombs);
   Rows.iter_live
     (fun row ->
-      let l = row_col r row col in
-      let found =
-        match Label.Tbl.find_opt idx l with
-        | Some bucket -> Rows.Vec.exists (fun row' -> row' = row) bucket
-        | None -> false
-      in
-      if not found then
+      if Bytes.get seen row = '\000' then
         report "index-coherence"
-          (Format.asprintf "%s: live row %a missing from its bucket" what Tuple.pp
+          (Format.asprintf "%s: live row %d (%a) is not reachable" what row Tuple.pp
              (row_tuple r row)))
     r.arena
 
@@ -671,10 +837,7 @@ let audit r =
       (Printf.sprintf "inserts - removes = %d - %d but cardinality is %d" r.inserts
          r.removes (cardinality r));
   audit_dedup r report;
-  Hashtbl.iter
-    (fun col idx ->
-      audit_col_index ~what:(Printf.sprintf "column-%d index" col) idx col r report)
-    r.indexes;
+  Array.iter (fun ci -> audit_col_index ci r report) r.indexes;
   (match r.prefix_idx with
   | Some idx ->
     audit_hash_index ~what:"prefix index" ~hash_of:(Rows.hash_prefix r.arena) idx r report
@@ -688,31 +851,43 @@ let audit r =
 (* -- Test-only corruption hooks --------------------------------------------- *)
 
 module Corrupt = struct
+  (* The first filed key slot of any column index. *)
+  let first_filed r =
+    let rec go ci s =
+      if s >= Array.length ci.keys then None
+      else if ci.keys.(s) >= 0 then Some (ci, s)
+      else go ci (s + 1)
+    in
+    Array.fold_left
+      (fun acc ci -> match acc with Some _ -> acc | None -> go ci 0)
+      None r.indexes
+
   let drop_index_bucket r =
-    let dropped = ref false in
-    let drop_label_tbl idx =
-      match
-        Label.Tbl.fold (fun k _ acc -> match acc with None -> Some k | s -> s) idx None
-      with
-      | Some k ->
-        Label.Tbl.remove idx k;
-        dropped := true
-      | None -> ()
+    let drop_hash_tbl = function
+      | Some (idx : hash_index) -> (
+        match Hashtbl.fold (fun k _ acc -> match acc with None -> Some k | s -> s) idx None with
+        | Some k ->
+          Hashtbl.remove idx k;
+          true
+        | None -> false)
+      | None -> false
     in
-    let drop_hash_tbl (idx : hash_index) =
-      match
-        Hashtbl.fold (fun k _ acc -> match acc with None -> Some k | s -> s) idx None
-      with
-      | Some k ->
-        Hashtbl.remove idx k;
-        dropped := true
-      | None -> ()
-    in
-    Hashtbl.iter (fun _ idx -> if not !dropped then drop_label_tbl idx) r.indexes;
-    (if not !dropped then
-       match r.prefix_idx with Some idx -> drop_hash_tbl idx | None -> ());
-    (if not !dropped then match r.hinge_idx with Some idx -> drop_hash_tbl idx | None -> ());
-    !dropped
+    match first_filed r with
+    | Some (ci, s) ->
+      (* Tombstone the key with its counts kept in step: only the chain's
+         rows go missing. *)
+      ci.keys.(s) <- dtomb;
+      ci.nkeys <- ci.nkeys - 1;
+      ci.ntombs <- ci.ntombs + 1;
+      true
+    | None -> drop_hash_tbl r.prefix_idx || drop_hash_tbl r.hinge_idx
+
+  let break_col_chain r =
+    match first_filed r with
+    | Some (ci, s) ->
+      ci.heads.(s) <- ci.next.(ci.heads.(s));
+      true
+    | None -> false
 
   let phantom_tuple r t =
     (* Allocate the row and file it in the dedup set only — every other

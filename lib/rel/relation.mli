@@ -12,9 +12,11 @@
 
     {b Storage.} Tuples live in a packed {!Rows.t} arena (width-stride
     flat [int array], freelist-recycled): a stored tuple is a row id, and
-    every index — the dedup set, the cached column indexes, the
-    prefix/hinge delta indexes — is a bucket of row ids ({!Rows.Vec.t}).
-    The boxed [Tuple.t] remains the boundary type; conversion happens only
+    every index files row ids.  The dedup set is an open-addressing table
+    of row ids; each cached column index is an open-addressing table from
+    the column's label to a chain of rows threaded through one [next]
+    array indexed by row id; the prefix/hinge delta indexes are hash
+    buckets of row ids ({!Rows.Vec.t}).  The boxed [Tuple.t] remains the boundary type; conversion happens only
     at this module's edge.  Each relation owns its arena: row ids are
     meaningless outside it, and batches cross shard boundaries only as
     {!Rows.packed} flat copies. *)
@@ -104,13 +106,14 @@ val pack_rows : t -> Rows.Vec.t -> Rows.packed
 (** Flat standalone copy of the named rows — the only form in which a
     batch of tuples may leave the owning shard. *)
 
-val probe_col_rows : t -> col:int -> Label.t -> Rows.Vec.t option
-(** Cache-mode row-level probe: the live bucket of the maintained column
-    index ([None] if the key is unseen).  The vector is the index's own
-    bucket — callers must not mutate this relation while iterating it.
-    Counted like {!index_on} (one rebuild on the first build of the
-    column's index).  @raise Invalid_argument if the relation does not
-    cache. *)
+val iter_col_rows : t -> col:int -> Label.t -> (int -> unit) -> unit
+(** [iter_col_rows r ~col key f] calls [f] on every live row whose column
+    [col] holds [key], in insertion order (rows already present when the
+    index was first built come first, in row-id order) — the cache-mode
+    probe of the maintained column index, allocation-free; an unseen key
+    calls nothing.  [f] must not mutate [r].  Counted like {!index_on} (one
+    rebuild on the first build of the column's index).
+    @raise Invalid_argument if the relation does not cache. *)
 
 val evict_hinge : t -> src:Label.t -> dst:Label.t -> Rows.packed
 (** Remove (and return, packed) all tuples whose last two columns are
@@ -185,8 +188,10 @@ val stats_delta_probes : t -> int
     replaces a full-view scan. *)
 
 val stats_index_buckets : t -> int
-(** Total live buckets across the cached column indexes (tests: removal
-    must drop emptied buckets rather than keeping empty vectors alive). *)
+(** Total filed keys across the cached column indexes — the distinct
+    labels of the live rows, per indexed column (tests: a removal that
+    empties a key's chain must tombstone the key rather than keep an
+    empty chain filed). *)
 
 val stats_inserts : t -> int
 (** Lifetime count of successful {!insert}s (duplicates excluded).  The
@@ -200,10 +205,12 @@ val audit : t -> (string * string) list
 (** Self-check of every relation-internal invariant, as
     [(invariant class, detail)] pairs — empty when clean.  Classes:
     ["arena-integrity"] (the {!Rows.audit} freelist/liveness invariants,
-    plus: no index bucket holds a dangling — dead or never-allocated —
-    row id), ["index-coherence"] (every maintained index — dedup set,
-    cached column indexes, prefix index, hinge index — files exactly the
-    live rows under their own keys, with no duplicates or empty buckets),
+    plus: no index bucket or chain holds a dangling — dead or
+    never-allocated — row id), ["index-coherence"] (every maintained
+    index — dedup set, cached column indexes, prefix index, hinge index —
+    files exactly the live rows under their own keys, with no duplicates
+    or empty buckets; a column index's chains end at their [tails] entry
+    and its key/tombstone counts match its slots),
     and ["stats"] (the insert/remove accounting identity).  Pure
     observation: never builds indexes that are not already live, and
     never mutates the relation. *)
@@ -215,7 +222,13 @@ module Corrupt : sig
 
   val drop_index_bucket : t -> bool
   (** Delete one whole bucket from a live maintained index (cached column
-      index first, then prefix/hinge).  [false] if no index is built. *)
+      index first — its key is tombstoned with the counts kept in step —
+      then prefix/hinge).  [false] if no index is built. *)
+
+  val break_col_chain : t -> bool
+  (** Splice the head row out of one cached column index's chain, leaving
+      the row live but unreachable.  [false] if no column index files a
+      key. *)
 
   val phantom_tuple : t -> Tuple.t -> unit
   (** Allocate a row and file it in the dedup set {e bypassing} every

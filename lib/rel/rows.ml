@@ -40,13 +40,6 @@ module Vec = struct
       f v.data.(i)
     done
 
-  let fold f v init =
-    let acc = ref init in
-    for i = 0 to v.len - 1 do
-      acc := f v.data.(i) !acc
-    done;
-    !acc
-
   let exists p v =
     let rec go i = i < v.len && (p v.data.(i) || go (i + 1)) in
     go 0

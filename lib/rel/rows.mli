@@ -12,9 +12,9 @@
     raw ints.  {!Relation} owns the [Label.t]/[Tuple.t] conversions at
     its boundary. *)
 
-(** Growable int vector with swap-remove — the bucket representation of
-    every index in {!Relation} (dedup set, cached column indexes,
-    prefix/hinge delta indexes). *)
+(** Growable int vector with swap-remove — the arena freelist, the bucket
+    representation of {!Relation}'s prefix/hinge delta indexes, and the
+    engines' row-id batches. *)
 module Vec : sig
   type t
 
@@ -31,7 +31,6 @@ module Vec : sig
   (** Swap-remove the first slot holding the value; [false] if absent. *)
 
   val iter : (int -> unit) -> t -> unit
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
   val exists : (int -> bool) -> t -> bool
   val to_list : t -> int list
   val clear : t -> unit

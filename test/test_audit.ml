@@ -106,6 +106,19 @@ let test_dropped_index_bucket_detected () =
   check_classes "only index-coherence trips" [ "index-coherence" ]
     (Audit.check ~edges t)
 
+let test_broken_col_chain_detected () =
+  (* A live row spliced out of its column-index chain: still in the arena,
+     the dedup set and every count, but unreachable through the index. *)
+  let t, edges = build ~cache:true () in
+  let broken =
+    Trie.fold_nodes
+      (fun n acc -> acc || Rel.Corrupt.break_col_chain (Trie.node_view n))
+      (Tric.forest t) false
+    || Trie.fold_base (fun _ r acc -> acc || Rel.Corrupt.break_col_chain r) (Tric.forest t) false
+  in
+  Alcotest.(check bool) "a column chain was broken" true broken;
+  check_classes "only index-coherence trips" [ "index-coherence" ] (Audit.check ~edges t)
+
 let test_phantom_base_tuple_detected () =
   let t, edges = build () in
   (match Trie.fold_base (fun _ r acc -> match acc with Some _ -> acc | None -> Some r)
@@ -268,6 +281,7 @@ let suite =
     Alcotest.test_case "desynced engine stats detected" `Quick test_desynced_engine_stats_detected;
     Alcotest.test_case "desynced relation counters detected" `Quick test_desynced_relation_counters_detected;
     Alcotest.test_case "dropped index bucket detected" `Quick test_dropped_index_bucket_detected;
+    Alcotest.test_case "broken column chain detected" `Quick test_broken_col_chain_detected;
     Alcotest.test_case "phantom base tuple detected" `Quick test_phantom_base_tuple_detected;
     Alcotest.test_case "arena corruption detected" `Quick test_arena_corruption_detected;
     Alcotest.test_case "edge-index mutations detected" `Quick test_edge_index_mutations_detected;

@@ -738,6 +738,56 @@ let prop_relation_set_semantics =
              List.length (probe (Label.intern (Printf.sprintf "p%d" a))) = expected)
            model true)
 
+let prop_col_chains_keep_insertion_order =
+  QCheck2.Test.make ~count:200 ~name:"column chains = live rows per label, in insertion order"
+    QCheck2.Gen.(list_size (int_range 0 150) (pair bool (pair (int_bound 5) (int_bound 9))))
+    (fun ops ->
+      let r = Relation.create ~cache:true ~width:2 () in
+      let lab i = Label.intern (Printf.sprintf "c%d" i) in
+      (* Both columns are indexed before the first insert, so every row is
+         chained on arrival and the model is the plain insertion order. *)
+      ignore (Relation.index_on r ~col:0 : Relation.probe);
+      ignore (Relation.index_on r ~col:1 : Relation.probe);
+      let chain_ok model col k =
+        let got = ref [] in
+        Relation.iter_col_rows r ~col (lab k) (fun row ->
+            got := (Relation.row_col r row 0, Relation.row_col r row 1) :: !got);
+        let want =
+          List.filter_map
+            (fun (a, b) ->
+              if (if col = 0 then a else b) = k then Some (lab a, lab b) else None)
+            model
+        in
+        List.equal
+          (fun (a, b) (a', b') -> Label.equal a a' && Label.equal b b')
+          want (List.rev !got)
+      in
+      let _, ok =
+        List.fold_left
+          (fun (model, ok) (add, (a, b)) ->
+            let t = Tuple.make [| lab a; lab b |] in
+            let same (a', b') = a = a' && b = b' in
+            let model =
+              if add then begin
+                ignore (Relation.insert r t);
+                if List.exists same model then model else model @ [ (a, b) ]
+              end
+              else begin
+                ignore (Relation.remove r t);
+                List.filter (fun p -> not (same p)) model
+              end
+            in
+            let ok =
+              ok
+              && List.for_all (chain_ok model 0) (List.init 6 Fun.id)
+              && List.for_all (chain_ok model 1) (List.init 10 Fun.id)
+              && Relation.audit r = []
+            in
+            (model, ok))
+          ([], true) ops
+      in
+      ok)
+
 let prop_merge_commutative =
   QCheck2.Test.make ~count:300 ~name:"embedding merge is commutative"
     QCheck2.Gen.(pair (list_size (int_range 0 5) (pair (int_bound 4) (int_bound 3)))
@@ -1191,6 +1241,7 @@ let suite =
       prop_sharded_batch_equals_sequential;
       prop_packed_layout_equals_oracle;
       prop_relation_set_semantics;
+      prop_col_chains_keep_insertion_order;
       prop_merge_commutative;
       prop_trie_sharing;
       prop_triangles_match_bruteforce;

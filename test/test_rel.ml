@@ -127,6 +127,126 @@ let test_index_bucket_hygiene () =
   ignore (Relation.insert r (tup [ "k0"; "v" ]));
   Alcotest.(check int) "bucket recreated" 1 (List.length (probe (l "k0")))
 
+(* -- Chained column index ------------------------------------------------------ *)
+
+(* The tuples [iter_col_rows] yields for [key], in call order. *)
+let chain r ~col key =
+  let out = ref [] in
+  Relation.iter_col_rows r ~col (l key) (fun row -> out := Relation.row_tuple r row :: !out);
+  List.rev_map
+    (fun t -> List.init (Tuple.width t) (fun i -> Label.to_string (Tuple.get t i)))
+    !out
+
+let check_chain msg r ~col key expected =
+  Alcotest.(check (list (list string))) msg expected (chain r ~col key)
+
+let check_clean msg r =
+  Alcotest.(check (list (pair string string))) msg [] (Relation.audit r)
+
+let test_chain_order () =
+  let r = Relation.create ~cache:true ~width:2 () in
+  List.iter (fun v -> ignore (Relation.insert r (tup [ "a"; v ]))) [ "1"; "2"; "3"; "4"; "5" ];
+  ignore (Relation.insert r (tup [ "b"; "x" ]));
+  let a vs = List.map (fun v -> [ "a"; v ]) vs in
+  check_chain "insertion order" r ~col:0 "a" (a [ "1"; "2"; "3"; "4"; "5" ]);
+  ignore (Relation.remove r (tup [ "a"; "1" ]));
+  check_chain "head removed" r ~col:0 "a" (a [ "2"; "3"; "4"; "5" ]);
+  ignore (Relation.remove r (tup [ "a"; "3" ]));
+  check_chain "middle removed" r ~col:0 "a" (a [ "2"; "4"; "5" ]);
+  ignore (Relation.remove r (tup [ "a"; "5" ]));
+  check_chain "tail removed" r ~col:0 "a" (a [ "2"; "4" ]);
+  ignore (Relation.insert r (tup [ "a"; "6" ]));
+  check_chain "append after tail removal" r ~col:0 "a" (a [ "2"; "4"; "6" ]);
+  check_chain "other key untouched" r ~col:0 "b" [ [ "b"; "x" ] ];
+  check_clean "audit clean" r
+
+let test_chain_tombstones_and_growth () =
+  (* Built on the empty relation, so every key below is filed through
+     growth rehashes; then half the keys are emptied (tombstoned) and new
+     keys refill the table. *)
+  let r = Relation.create ~cache:true ~width:2 () in
+  check_chain "empty relation" r ~col:0 "k0" [];
+  let key p i = Printf.sprintf "%s%d" p i in
+  for i = 0 to 999 do
+    ignore (Relation.insert r (tup [ key "k" i; "v" ]))
+  done;
+  Alcotest.(check int) "1000 keys" 1000 (Relation.stats_index_buckets r);
+  check_clean "audit clean after growth" r;
+  for i = 0 to 499 do
+    ignore (Relation.remove r (tup [ key "k" (2 * i); "v" ]))
+  done;
+  Alcotest.(check int) "500 keys left" 500 (Relation.stats_index_buckets r);
+  check_clean "audit clean with tombstones" r;
+  for i = 0 to 1499 do
+    ignore (Relation.insert r (tup [ key "n" i; "w" ]))
+  done;
+  Alcotest.(check int) "2000 keys" 2000 (Relation.stats_index_buckets r);
+  for i = 0 to 999 do
+    let k = key "k" i in
+    check_chain k r ~col:0 k (if i mod 2 = 0 then [] else [ [ k; "v" ] ])
+  done;
+  for i = 0 to 1499 do
+    let k = key "n" i in
+    check_chain k r ~col:0 k [ [ k; "w" ] ]
+  done;
+  check_clean "audit clean after refill" r
+
+let test_chain_row_reuse () =
+  (* Removing (a,1) frees its row id with a stale [next] pointing at
+     (a,2); the freelist hands that id to (b,2), which must end b's chain
+     rather than run on into a's. *)
+  let r = Relation.create ~cache:true ~width:2 () in
+  List.iter
+    (fun t -> ignore (Relation.insert r (tup t)))
+    [ [ "a"; "1" ]; [ "a"; "2" ]; [ "b"; "1" ] ];
+  check_chain "a before" r ~col:0 "a" [ [ "a"; "1" ]; [ "a"; "2" ] ];
+  ignore (Relation.remove r (tup [ "a"; "1" ]));
+  ignore (Relation.insert r (tup [ "b"; "2" ]));
+  check_chain "b re-threaded" r ~col:0 "b" [ [ "b"; "1" ]; [ "b"; "2" ] ];
+  check_chain "a intact" r ~col:0 "a" [ [ "a"; "2" ] ];
+  ignore (Relation.remove r (tup [ "a"; "2" ]));
+  ignore (Relation.insert r (tup [ "a"; "3" ]));
+  check_chain "a refiled on a reused row" r ~col:0 "a" [ [ "a"; "3" ] ];
+  check_clean "audit clean" r
+
+let test_chain_miss () =
+  let r = Relation.create ~cache:true ~width:2 () in
+  let never row = Alcotest.failf "unexpected row %d" row in
+  Relation.iter_col_rows r ~col:0 (l "a") never;
+  ignore (Relation.insert r (tup [ "a"; "b" ]));
+  Relation.iter_col_rows r ~col:0 (l "unseen") never;
+  Relation.iter_col_rows r ~col:1 (l "a") never;
+  ignore (Relation.remove r (tup [ "a"; "b" ]));
+  Relation.iter_col_rows r ~col:0 (l "a") never;
+  Alcotest.(check int) "one build per column" 2 (Relation.stats_rebuilds r);
+  Alcotest.check_raises "needs caching"
+    (Invalid_argument "Relation.iter_col_rows: relation is not caching") (fun () ->
+      Relation.iter_col_rows (Relation.create ~width:2 ()) ~col:0 (l "a") never)
+
+let test_chain_buckets_after_churn () =
+  (* Two indexed columns under a deterministic add/remove churn over a
+     small key space: the filed keys must always be the distinct live
+     labels of each column. *)
+  let r = Relation.create ~cache:true ~width:2 () in
+  ignore (Relation.index_on r ~col:0 : Relation.probe);
+  ignore (Relation.index_on r ~col:1 : Relation.probe);
+  let distinct col =
+    Relation.fold (fun t acc -> Label.Set.add (Tuple.get t col) acc) r Label.Set.empty
+    |> Label.Set.cardinal
+  in
+  let x = ref 7 in
+  for step = 1 to 3000 do
+    x := (!x * 1103515245 + 12345) land 0x3fffffff;
+    let t = tup [ Printf.sprintf "s%d" (!x mod 37); Printf.sprintf "d%d" (!x / 37 mod 23) ] in
+    if !x / 851 mod 3 = 0 then ignore (Relation.remove r t) else ignore (Relation.insert r t);
+    if step mod 500 = 0 then begin
+      Alcotest.(check int)
+        (Printf.sprintf "step %d" step)
+        (distinct 0 + distinct 1) (Relation.stats_index_buckets r);
+      check_clean (Printf.sprintf "audit clean at step %d" step) r
+    end
+  done
+
 let test_embedding () =
   let e = Embedding.empty 3 in
   Alcotest.(check bool) "not total" false (Embedding.is_total e);
@@ -188,6 +308,11 @@ let suite =
     Alcotest.test_case "probe_scan / scan_probing" `Quick test_probe_scan;
     Alcotest.test_case "deletion indexes (prefix/hinge)" `Quick test_deletion_indexes;
     Alcotest.test_case "index bucket hygiene" `Quick test_index_bucket_hygiene;
+    Alcotest.test_case "column chain order" `Quick test_chain_order;
+    Alcotest.test_case "column tombstones and growth" `Quick test_chain_tombstones_and_growth;
+    Alcotest.test_case "column chain row reuse" `Quick test_chain_row_reuse;
+    Alcotest.test_case "column probe miss" `Quick test_chain_miss;
+    Alcotest.test_case "column keys after churn" `Quick test_chain_buckets_after_churn;
     Alcotest.test_case "embedding" `Quick test_embedding;
     Alcotest.test_case "embedding joins" `Quick test_embjoin;
   ]
