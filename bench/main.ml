@@ -629,7 +629,7 @@ let overhead_report ?(strict = false) fmt =
 let layout_report ?(strict = false) fmt =
   let edges = getenv_int "TRIC_LAYOUT_EDGES" 3_000 in
   let qdb = getenv_int "TRIC_LAYOUT_QDB" 60 in
-  let max_minor = float_of_int (getenv_int "TRIC_ALLOC_MAX_WORDS" 2_000) in
+  let max_minor = float_of_int (getenv_int "TRIC_ALLOC_MAX_WORDS" 1_500) in
   let d =
     W.Dataset.make W.Dataset.Snb
       { W.Dataset.edges; qdb; avg_len = 5; selectivity = 0.25; overlap = 0.35; seed = 7 }

@@ -10,13 +10,12 @@ type query_info = {
   path_shards : int array; (* per path: shard owning its trie *)
   terminals : Trie.node array;
   width : int; (* pattern vertex count *)
-  (* The per-covering-path result as partial embeddings — the paper's
-     matV[P_i], kept in join-ready form and maintained incrementally in
-     both directions: addition deltas are appended as they are reported,
-     and deletion deltas are subtracted tuple-for-tuple (§4.3).  The lists
-     mirror the terminal views exactly, so no epoch/refresh machinery is
-     needed. *)
-  mutable path_embs : Embedding.t list array;
+  (* The per-covering-path result — the paper's matV[P_i] — as one packed
+     cache per path, maintained incrementally in both directions: addition
+     deltas are appended as they are reported, and deletion deltas are
+     subtracted row for row (§4.3).  The caches mirror the terminal views
+     exactly, so no epoch/refresh machinery is needed. *)
+  caches : Embjoin.Cache.t array;
 }
 
 (* Coordinator-side telemetry: event counters and the cross-path join
@@ -205,19 +204,23 @@ let add_query t pattern =
   in
   let path_vids = Array.map Path.vids paths in
   let width = Pattern.num_vertices pattern in
-  let path_embs =
+  (* A terminal shared with earlier queries may already hold rows; an
+     empty one costs nothing here. *)
+  let caches =
     Array.mapi
       (fun i terminal ->
-        Relation.fold
-          (fun tu acc ->
-            match Embedding.of_tuple ~width ~vids:path_vids.(i) tu with
-            | Some e -> e :: acc
-            | None -> acc)
-          (Trie.node_view terminal) [])
+        let cache = Embjoin.Cache.create ~vids:path_vids.(i) in
+        let view = Trie.node_view terminal in
+        if Relation.cardinality view > 0 then begin
+          let rows = Rows.Vec.create ~cap:(Relation.cardinality view) () in
+          Relation.iter_rows (Rows.Vec.push rows) view;
+          Embjoin.Cache.append cache (Relation.pack_rows view rows)
+        end;
+        cache)
       terminals
   in
   Hashtbl.add t.queries qid
-    { pattern; paths; path_vids; path_shards; terminals; width; path_embs }
+    { pattern; paths; path_vids; path_shards; terminals; width; caches }
 
 let remove_query t qid =
   (* Deregister the id from its terminal nodes so a later re-add of the id
@@ -290,43 +293,6 @@ let merge_deltas t per_shard =
     per_shard;
   per_query
 
-(* Turn a path's packed delta batches into partial embeddings of the
-   query (enforcing repeated-variable equalities within the path) —
-   straight from the flat cells, no boxed tuples. *)
-let embeddings_of_packs ~width ~vids packs = Embjoin.of_packed ~width ~vids packs
-
-(* Final per-query cross-path join (Fig. 8, lines 8-13): for every
-   covering path that gained tuples, join its delta against the full
-   (cached) results of the other paths, delta first.  This is the
-   coordinator's finalize step — path deltas computed on different shards
-   meet only here. *)
-let query_new_matches info deltas =
-  let k = Array.length info.paths in
-  let delta_embs =
-    Array.mapi
-      (fun i delta -> embeddings_of_packs ~width:info.width ~vids:info.path_vids.(i) delta)
-      deltas
-  in
-  (* Fold the deltas into the cached path results first, so "other path"
-     operands see this round's tuples too. *)
-  Array.iteri
-    (fun i d -> if d <> [] then info.path_embs.(i) <- d @ info.path_embs.(i))
-    delta_embs;
-  let results = ref [] in
-  Array.iteri
-    (fun i delta_emb ->
-      if delta_emb <> [] then begin
-        let operands =
-          delta_emb
-          :: List.filter_map
-               (fun j -> if j = i then None else Some info.path_embs.(j))
-               (List.init k Fun.id)
-        in
-        results := Embjoin.join_many operands @ !results
-      end)
-    delta_embs;
-  List.filter Embedding.is_total (Embjoin.dedup !results)
-
 let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
   let t0 = match t.obs with Some _ -> Unix.gettimeofday () | None -> 0.0 in
   let per_query = merge_deltas t per_shard in
@@ -336,12 +302,16 @@ let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
     Tric_obs.Span.stage o.o_spans sp "gather"
   | None -> ());
   let t1 = match t.obs with Some _ -> Unix.gettimeofday () | None -> 0.0 in
-  (* Distribute the final cross-path joins over the domain pool by
+  (* The final per-query cross-path join (Fig. 8, lines 8-13): each
+     covering path's delta is appended to its cache and joined against the
+     other paths' caches (the delta rule of [Embjoin.add_deltas]).  This is
+     the coordinator's finalize step — path deltas computed on different
+     shards meet only here.  Distribute the joins over the domain pool by
      hashing join ownership on the query id: group [g] owns the queries
      with [qid mod nshards = g].  Each query appears in exactly one
-     group, [query_new_matches] touches only that query's [path_embs],
-     and the coordinator prefetches the query infos here, so tasks never
-     read the queries table — disjoint mutation, no synchronisation.
+     group, its join touches only that query's caches, and the
+     coordinator prefetches the query infos here, so tasks never read the
+     queries table — disjoint mutation, no synchronisation.
      Per-query results are deterministic and the final sort fixes report
      order, so grouping does not affect output. *)
   let groups = Array.make t.nshards [] in
@@ -358,7 +328,7 @@ let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
          (fun g () ->
            List.filter_map
              (fun (qid, info, deltas) ->
-               match query_new_matches info deltas with
+               match Embjoin.add_deltas ~width:info.width info.caches deltas with
                | [] -> None
                | matches -> Some (qid, matches))
              groups.(g))
@@ -384,37 +354,6 @@ let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
 
 (* -- Removal bookkeeping ----------------------------------------------------- *)
 
-(* The retraction mirror of [query_new_matches]: join each path's dead
-   delta against the other paths' cached results {e before} the caches
-   are subtracted.  Covering paths cover every pattern edge, so any live
-   match using the removed edge projects onto a dead tuple of at least
-   one path; the other paths' pre-subtraction caches still hold all of
-   its remaining projections iff the match was live — so the join
-   reconstructs exactly the destroyed matches.  A match whose edge dies
-   on several paths is found once per such path; the final dedup
-   collapses it. *)
-let query_retractions info deltas =
-  let k = Array.length info.paths in
-  let dead_embs =
-    Array.mapi
-      (fun i delta -> embeddings_of_packs ~width:info.width ~vids:info.path_vids.(i) delta)
-      deltas
-  in
-  let results = ref [] in
-  Array.iteri
-    (fun i dead ->
-      if dead <> [] then begin
-        let operands =
-          dead
-          :: List.filter_map
-               (fun j -> if j = i then None else Some info.path_embs.(j))
-               (List.init k Fun.id)
-        in
-        results := Embjoin.join_many operands @ !results
-      end)
-    dead_embs;
-  List.filter Embedding.is_total (Embjoin.dedup !results)
-
 (* Union several per-removal retraction channels into one sorted,
    deduplicated (qid, embeddings) list. *)
 let merge_retraction_channels = function
@@ -433,47 +372,17 @@ let merge_retraction_channels = function
       tbl []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* Per-query delta invalidation: subtract exactly the embeddings of the
-   tuples evicted at each registered terminal from the owning query's
-   cached per-path results.  Queries whose terminals lost nothing keep
-   their caches untouched.  Returns the set of touched query ids. *)
-let apply_removal_deltas t per_query =
-  let touched = ref [] in
-  Hashtbl.iter
-    (fun qid deltas ->
-      let info = Hashtbl.find t.queries qid in
-      let any = ref false in
-      Array.iteri
-        (fun i delta ->
-          match embeddings_of_packs ~width:info.width ~vids:info.path_vids.(i) delta with
-          | [] -> ()
-          | dead ->
-            any := true;
-            (* View tuples are distinct and tuple -> embedding is injective
-               for a fixed vid sequence, so the dead embeddings are distinct
-               and each occurs exactly once in the cached list; subtract one
-               occurrence per dead embedding. *)
-            let dead_tbl = Embedding.Tbl.create (2 * List.length dead) in
-            List.iter (fun em -> Embedding.Tbl.replace dead_tbl em ()) dead;
-            info.path_embs.(i) <-
-              List.filter
-                (fun em ->
-                  if Embedding.Tbl.mem dead_tbl em then begin
-                    Embedding.Tbl.remove dead_tbl em;
-                    false
-                  end
-                  else true)
-                info.path_embs.(i))
-        deltas;
-      if !any then touched := qid :: !touched)
-    per_query;
-  !touched
-
 (* Account one removal given its gathered per-shard deltas and the total
    evicted-tuple count summed over shards.  Returns the removal's
    retraction channel: per affected query (ascending id), the live
-   matches the eviction destroyed — computed against the pre-subtraction
-   caches, then the caches are subtracted. *)
+   matches the eviction destroyed.  Per-query delta invalidation: each
+   query subtracts exactly the rows evicted at its registered terminals,
+   path by path, each path's dead rows first joined against the other
+   caches (the delta rule of [Embjoin.remove_deltas]: each destroyed match
+   is found once).  Covering paths cover every pattern edge, so any live
+   match using the removed edge projects onto a dead row of at least one
+   path.  Queries whose terminals lost nothing keep their caches
+   untouched. *)
 let account_removal t removed per_shard_deltas =
   t.removals <- t.removals + 1;
   t.tuples_removed <- t.tuples_removed + removed;
@@ -486,19 +395,18 @@ let account_removal t removed per_shard_deltas =
   end
   else begin
     let per_query = merge_deltas t per_shard_deltas in
+    let touched = ref 0 in
     let retractions =
       Hashtbl.fold
         (fun qid deltas acc ->
           let info = Hashtbl.find t.queries qid in
-          match query_retractions info deltas with
-          | [] -> acc
-          | dead -> (qid, dead) :: acc)
+          let dead, subtracted = Embjoin.remove_deltas ~width:info.width info.caches deltas in
+          if subtracted > 0 then incr touched;
+          match dead with [] -> acc | dead -> (qid, dead) :: acc)
         per_query []
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     in
-    let touched = apply_removal_deltas t per_query in
-    t.invalidations_avoided <-
-      t.invalidations_avoided + (num_queries t - List.length touched);
+    t.invalidations_avoided <- t.invalidations_avoided + (num_queries t - !touched);
     retractions
   end
 
@@ -664,7 +572,7 @@ let handle_batch t updates =
 
 let current_matches t qid =
   let info = Hashtbl.find t.queries qid in
-  List.filter Embedding.is_total (Embjoin.join_many (Array.to_list info.path_embs))
+  Embjoin.join_caches ~width:info.width info.caches
 
 let covering_paths t qid =
   let info = Hashtbl.find t.queries qid in
@@ -776,7 +684,7 @@ let query_views (t : t) =
           qv_path_shards = info.path_shards;
           qv_terminals = info.terminals;
           qv_width = info.width;
-          qv_path_embs = Array.copy info.path_embs;
+          qv_path_embs = Array.map (Embjoin.Cache.to_embeddings ~width:info.width) info.caches;
         } )
       :: acc)
     t.queries []
@@ -795,19 +703,14 @@ module Corrupt = struct
         match acc with Some (q, _) when q <= qid -> acc | _ -> Some (qid, info))
       t.queries None
 
-  let skew_path_cache t =
+  (* Apply [f] to the first cache of the lowest-id query it succeeds on. *)
+  let corrupt_cache t f =
     match first_query t with
     | None -> false
-    | Some (_, info) ->
-      let skewed = ref false in
-      Array.iteri
-        (fun i embs ->
-          if (not !skewed) && embs <> [] then begin
-            info.path_embs.(i) <- List.tl embs;
-            skewed := true
-          end)
-        info.path_embs;
-      !skewed
+    | Some (_, info) -> Array.exists f info.caches
+
+  let skew_path_cache t = corrupt_cache t Embjoin.Cache.Corrupt.drop_row
+  let phantom_cache_row t = corrupt_cache t Embjoin.Cache.Corrupt.duplicate_row
 
   let desync_stats (t : t) = t.tuples_removed <- t.tuples_removed + 1
 

@@ -105,12 +105,13 @@ val handle_update :
     new total embeddings created by this update ([retractions] is []).
     For a removal, all views are pruned by prefix-indexed downward
     propagation (§4.3) and exactly the evicted terminal tuples are
-    subtracted from the owning queries' cached per-path embeddings —
+    subtracted from the owning queries' packed per-path caches —
     queries untouched by the removal keep their caches, and a no-op
     removal (absent edge) touches nothing.  [retractions] lists, per
     affected query id (ascending), the previously-live matches the
-    removal destroyed: each dead per-path delta joined against the other
-    paths' pre-subtraction caches ([matches] is []). *)
+    removal destroyed, each once: path by path, the dead rows are joined
+    against the other paths' caches before being subtracted
+    ([matches] is []). *)
 
 val handle_batch :
   t -> Update.t list -> (int * Embedding.t list) list * (int * Embedding.t list) list
@@ -216,8 +217,9 @@ type query_view = {
   qv_terminals : Trie.node array;  (** per path: its trie terminal *)
   qv_width : int;  (** pattern vertex count *)
   qv_path_embs : Embedding.t list array;
-      (** per path: the cached partial-embedding mirror of the terminal
-          view (a shallow copy of the engine's list — safe to consume) *)
+      (** per path: the rows of the engine's packed cache, the mirror of
+          the terminal view, as partial embeddings in row order (a fresh
+          conversion — safe to consume) *)
 }
 
 val query_views : t -> (int * query_view) list
@@ -237,8 +239,14 @@ val is_caching : t -> bool
     Never call these outside tests. *)
 module Corrupt : sig
   val skew_path_cache : t -> bool
-  (** Drop one embedding from some query's cached per-path results
-      (cache-coherence).  [false] if every cache is empty. *)
+  (** Drop one row from the lowest-id query's first non-empty per-path
+      cache — the missing direction of cache-coherence.  [false] if all
+      of that query's caches are empty. *)
+
+  val phantom_cache_row : t -> bool
+  (** Duplicate one row of the lowest-id query's first non-empty per-path
+      cache — the phantom direction of cache-coherence.  [false] if all
+      of that query's caches are empty. *)
 
   val desync_stats : t -> unit
   (** Bump [tuples_removed] without removing anything (stats). *)

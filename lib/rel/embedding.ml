@@ -34,22 +34,7 @@ let bind_tuple e ~vids tuple =
 
 let of_tuple ~width ~vids tuple = bind_tuple (empty width) ~vids tuple
 
-(* Packed-row counterpart of [bind_tuple]: the arena already stores
-   interned label ints, so binding is a straight copy — no Label round
-   trip, no boxed tuple on the hot path. *)
-let bind_packed e ~vids p i =
-  let w = Rows.packed_width p in
-  if Array.length vids <> w then invalid_arg "Embedding.bind_packed: length mismatch";
-  let e' = Array.copy e in
-  let ok = ref true in
-  for c = 0 to w - 1 do
-    let li = Rows.packed_get p i c in
-    let vid = vids.(c) in
-    if e'.(vid) = unbound then e'.(vid) <- li else if e'.(vid) <> li then ok := false
-  done;
-  if !ok then Some e' else None
-
-let of_packed ~width ~vids p i = bind_packed (empty width) ~vids p i
+let unsafe_of_cells (cells : int array) : t = cells
 
 let merge a b =
   if Array.length a <> Array.length b then invalid_arg "Embedding.merge: width mismatch";

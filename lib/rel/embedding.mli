@@ -31,14 +31,11 @@ val bind_tuple : t -> vids:int array -> Tuple.t -> t option
 val of_tuple : width:int -> vids:int array -> Tuple.t -> t option
 (** [bind_tuple (empty width)]. *)
 
-val bind_packed : t -> vids:int array -> Rows.packed -> int -> t option
-(** Bind positionally from the [i]-th row of a packed batch — the
-    allocation-light counterpart of {!bind_tuple} (the arena already
-    holds interned label ints).
-    @raise Invalid_argument if [vids] does not match the batch width. *)
-
-val of_packed : width:int -> vids:int array -> Rows.packed -> int -> t option
-(** [bind_packed (empty width)]. *)
+val unsafe_of_cells : int array -> t
+(** Adopt a raw cell array as an embedding, without copying: cell [vid]
+    holds the bound label's interned int, or [-1] when unbound.  The
+    caller must not mutate the array afterwards.  Used by the packed
+    per-path caches of {!Embjoin.Cache}, which keep rows as flat ints. *)
 
 val merge : t -> t -> t option
 (** Consistent union of two partial embeddings over the same pattern. *)

@@ -99,8 +99,9 @@ bench TRIC_OVERHEAD_ONLY=1 TRIC_OVERHEAD_EDGES=2000 TRIC_OVERHEAD_QDB=50
 # Allocation-regression smoke: the packed row-store layout report (live
 # heap words + upd/s, BENCH_layout.json emission path) in strict mode —
 # mean minor words allocated per update must stay under
-# TRIC_ALLOC_MAX_WORDS (default 2,000); boxed-tuple regressions on the hot
-# path trip this before they show up in throughput.
+# TRIC_ALLOC_MAX_WORDS (default 1,500, about 1.5x TRIC+ at this size);
+# boxed-tuple regressions on the hot path trip this before they show up
+# in throughput.
 bench TRIC_LAYOUT_ONLY=1 TRIC_LAYOUT_EDGES=1000 TRIC_LAYOUT_QDB=50
 
 # Bench smoke: a tiny batched-ingestion throughput run, so the bench

@@ -8,6 +8,19 @@ let edge s = Parse.edge s
 let update s = Parse.update s
 let updates l = List.map update l
 
+(* A packed batch of raw label-int rows (duplicates allowed), as a shard
+   gather would hand it over. *)
+let packed_of ~width rows =
+  let a = Tric_rel.Rows.create ~width () in
+  let v = Tric_rel.Rows.Vec.create () in
+  List.iter
+    (fun cells ->
+      let r = Tric_rel.Rows.alloc a in
+      Tric_rel.Rows.write a r (Array.of_list cells) 0;
+      Tric_rel.Rows.Vec.push v r)
+    rows;
+  Tric_rel.Rows.pack a v
+
 (* Deterministic PRNG so failures reproduce. *)
 let rng seed = Random.State.make [| seed |]
 

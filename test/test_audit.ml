@@ -64,6 +64,21 @@ let test_skewed_cache_detected () =
   Alcotest.(check bool) "cache skewed" true (Tric.Corrupt.skew_path_cache t);
   check_classes "only cache-coherence trips" [ "cache-coherence" ] (Audit.check ~edges t)
 
+let test_phantom_cache_row_detected () =
+  let t, edges = build ~cache:true () in
+  Alcotest.(check bool) "row duplicated" true (Tric.Corrupt.phantom_cache_row t);
+  let findings = Audit.check ~edges t in
+  check_classes "only cache-coherence trips" [ "cache-coherence" ] findings;
+  Alcotest.(check bool) "reported as phantom" true
+    (List.exists
+       (fun f ->
+         let d = f.Audit.detail in
+         let needle = "0 missing, 1 phantom" in
+         let n = String.length needle in
+         let rec go i = i + n <= String.length d && (String.sub d i n = needle || go (i + 1)) in
+         go 0)
+       (Audit.errors findings))
+
 let test_dropped_registration_detected () =
   let t, edges = build () in
   Alcotest.(check bool) "registration dropped" true (Tric.Corrupt.drop_registration t);
@@ -276,6 +291,7 @@ let suite =
   [
     Alcotest.test_case "clean state reports zero findings" `Quick test_clean_zero_findings;
     Alcotest.test_case "skewed path cache detected" `Quick test_skewed_cache_detected;
+    Alcotest.test_case "phantom cache row detected" `Quick test_phantom_cache_row_detected;
     Alcotest.test_case "dropped registration detected" `Quick test_dropped_registration_detected;
     Alcotest.test_case "phantom view tuple detected" `Quick test_phantom_view_tuple_detected;
     Alcotest.test_case "desynced engine stats detected" `Quick test_desynced_engine_stats_detected;

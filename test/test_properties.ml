@@ -152,6 +152,12 @@ let print_mixed_case (qspecs, sspec) =
               (List.nth elabels li) (List.nth vconsts di))
           sspec))
 
+let dup_free es = List.length es = List.length (List.sort_uniq Embedding.compare es)
+
+let report_dup_free (matches, retractions) =
+  List.for_all (fun (_, es) -> dup_free es) matches
+  && List.for_all (fun (_, es) -> dup_free es) retractions
+
 (* The stream generator draws add/remove ops over a 4-constant, 3-label
    vocabulary, so removals of live edges, no-op removals of absent edges,
    and re-adds of previously removed edges all occur constantly.  After
@@ -213,12 +219,16 @@ let prop_engines_agree_under_deletions =
       List.for_all
         (fun u ->
           let expected = Tric_engine.Naive.handle_update oracle u in
-          let r1 = Tric_engine.Report.of_pair (Tric_core.Tric.handle_update tric u) in
-          let r2 = Tric_engine.Report.of_pair (Tric_core.Tric.handle_update tricp u) in
+          let p1 = Tric_core.Tric.handle_update tric u in
+          let p2 = Tric_core.Tric.handle_update tricp u in
+          let r1 = Tric_engine.Report.of_pair p1 and r2 = Tric_engine.Report.of_pair p2 in
           (match u.Update.op with
           | Update.Add e -> Edge.Tbl.replace live e ()
           | Update.Remove e -> Edge.Tbl.remove live e);
-          Tric_engine.Report.equal expected r1
+          (* [Report.equal] normalises away duplicates, so check the raw
+             channels: the delta rule must find each match once. *)
+          report_dup_free p1 && report_dup_free p2
+          && Tric_engine.Report.equal expected r1
           && Tric_engine.Report.equal expected r2
           && (Tric_core.Tric.stats tric).Tric_core.Tric.view_tuples
              = (Tric_core.Tric.stats tricp).Tric_core.Tric.view_tuples
@@ -705,6 +715,113 @@ let prop_packed_layout_equals_oracle =
               (perupd @ batched)
           in
           stream_ok && batch_ok && drain_ok))
+
+(* The telescoped delta join of [Embjoin.add_deltas]/[remove_deltas]
+   against the boxed oracle it replaced: per path with a delta, the
+   dead/new rows joined ([join_many]) with every other cache — after the
+   appends for additions, before the subtractions for removals — then
+   deduplicated.  Paths draw 2-3 vids from 4, so repeated vids (cycle
+   equalities, inconsistent rows) and cartesian joins occur; rows draw
+   from 3 labels, so joins fan out.  Raw rows are distinct per path, as
+   terminal-view rows are; each row is either already cached or part of
+   the delta. *)
+let prop_delta_join_equals_oracle =
+  QCheck2.Test.make ~count:400
+    ~name:"telescoped delta join = dedup(join_many) oracle, duplicate-free"
+    QCheck2.Gen.(
+      triple bool
+        (list_size (int_range 1 3) (list_size (int_range 2 3) (int_bound 3)))
+        (list_size (int_range 0 60)
+           (triple (int_bound 2) (list_repeat 3 (int_bound 2)) bool)))
+    (fun (additions, path_specs, row_specs) ->
+      let labels = Array.init 3 (fun i -> Label.to_int (Label.intern (Printf.sprintf "dj%d" i))) in
+      (* Renumber the vids densely, so every vid is covered by some path. *)
+      let dense = Hashtbl.create 8 in
+      let vid v =
+        match Hashtbl.find_opt dense v with
+        | Some d -> d
+        | None ->
+          let d = Hashtbl.length dense in
+          Hashtbl.add dense v d;
+          d
+      in
+      let paths = Array.of_list (List.map (fun vs -> Array.of_list (List.map vid vs)) path_specs) in
+      let k = Array.length paths and width = Hashtbl.length dense in
+      let rows = Array.make k [] in
+      List.iter
+        (fun (pi, cells, delta) ->
+          let i = pi mod k in
+          let row = List.filteri (fun c _ -> c < Array.length paths.(i)) cells in
+          let row = List.map (fun x -> labels.(x)) row in
+          if not (List.exists (fun (r, _) -> List.equal Int.equal r row) rows.(i)) then
+            rows.(i) <- (row, delta) :: rows.(i))
+        row_specs;
+      let rows = Array.map List.rev rows in
+      let packed i rs = Helpers.packed_of ~width:(Array.length paths.(i)) rs in
+      let select i want = List.filter_map (fun (r, d) -> if d = want then Some r else None) rows.(i) in
+      (* Each delta arrives as up to two batches, as a multi-batch gather would. *)
+      let deltas =
+        Array.init k (fun i ->
+            match select i true with
+            | [] -> []
+            | [ r ] -> [ packed i [ r ] ]
+            | rs ->
+              let h = List.length rs / 2 in
+              [ packed i (List.filteri (fun j _ -> j < h) rs);
+                packed i (List.filteri (fun j _ -> j >= h) rs) ])
+      in
+      let caches =
+        Array.init k (fun i ->
+            let c = Embjoin.Cache.create ~vids:paths.(i) in
+            Embjoin.Cache.append c
+              (packed i (if additions then select i false else List.map fst rows.(i)));
+            c)
+      in
+      let boxed i rs =
+        let c = Embjoin.Cache.create ~vids:paths.(i) in
+        Embjoin.Cache.append c (packed i rs);
+        Embjoin.Cache.to_embeddings ~width c
+      in
+      let oracle () =
+        let per_path i =
+          match boxed i (select i true) with
+          | [] -> []
+          | delta ->
+            Embjoin.join_many
+              (delta
+              :: List.filter_map
+                   (fun j -> if j = i then None else Some (Embjoin.Cache.to_embeddings ~width caches.(j)))
+                   (List.init k Fun.id))
+        in
+        List.filter Embedding.is_total (Embjoin.dedup (List.concat_map per_path (List.init k Fun.id)))
+      in
+      let sizes () = Array.map Embjoin.Cache.count caches in
+      let consistent_delta i = List.length (boxed i (select i true)) in
+      let got, expected, sizes_ok =
+        if additions then begin
+          let before = sizes () in
+          let got = Embjoin.add_deltas ~width caches deltas in
+          let after = sizes () in
+          ( got,
+            oracle (),
+            Array.for_all Fun.id (Array.init k (fun i -> after.(i) = before.(i) + consistent_delta i)) )
+        end
+        else begin
+          let expected = oracle () in
+          let before = sizes () in
+          let got, subtracted = Embjoin.remove_deltas ~width caches deltas in
+          let after = sizes () in
+          let dead = Array.init k consistent_delta in
+          ( got,
+            expected,
+            subtracted = Array.fold_left ( + ) 0 dead
+            && Array.for_all Fun.id (Array.init k (fun i -> after.(i) = before.(i) - dead.(i))) )
+        end
+      in
+      let sorted es = List.sort Embedding.compare es in
+      sizes_ok && dup_free got
+      && List.length got = List.length expected
+      && List.for_all2 Embedding.equal (sorted got) (sorted expected))
 
 let prop_relation_set_semantics =
   QCheck2.Test.make ~count:200 ~name:"relation = deduplicated set under insert/remove"
@@ -1240,6 +1357,7 @@ let suite =
       prop_sharded_equals_sequential;
       prop_sharded_batch_equals_sequential;
       prop_packed_layout_equals_oracle;
+      prop_delta_join_equals_oracle;
       prop_relation_set_semantics;
       prop_col_chains_keep_insertion_order;
       prop_merge_commutative;

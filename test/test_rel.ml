@@ -300,6 +300,142 @@ let test_embjoin () =
     (List.length (Embjoin.join_many [ o1; []; o3 ]));
   Alcotest.(check int) "dedup" 1 (List.length (Embjoin.dedup (o1 @ o1)))
 
+(* -- Packed per-path caches -------------------------------------------------- *)
+
+let li s = Label.to_int (l s)
+
+let cells_of e =
+  List.init (Embedding.width e) (fun vid ->
+      match Embedding.get e vid with Some x -> Label.to_int x | None -> -1)
+
+let cache_rows ~width c = List.map cells_of (Embjoin.Cache.to_embeddings ~width c)
+let sorted_embs es = List.sort Embedding.compare es
+
+let check_same_embs msg a b =
+  let a = sorted_embs a and b = sorted_embs b in
+  Alcotest.(check int) (msg ^ ": count") (List.length b) (List.length a);
+  Alcotest.(check bool) (msg ^ ": same embeddings") true (List.for_all2 Embedding.equal a b)
+
+let test_cache_append_equalities () =
+  (* Path ?0 -> ?1 -> ?0 (a 2-cycle): columns 0 and 2 must agree. *)
+  let c = Embjoin.Cache.create ~vids:[| 0; 1; 0 |] in
+  Alcotest.(check int) "starts empty" 0 (Embjoin.Cache.count c);
+  Embjoin.Cache.append c
+    (Helpers.packed_of ~width:3
+       [
+         [ li "a"; li "b"; li "a" ];
+         [ li "a"; li "b"; li "c" ];
+         [ li "c"; li "c"; li "c" ];
+         [ li "b"; li "a"; li "a" ];
+       ]);
+  Alcotest.(check int) "inconsistent rows skipped" 2 (Embjoin.Cache.count c);
+  Alcotest.(check (list (list int)))
+    "consistent rows kept, in order, one cell per vid"
+    [ [ li "a"; li "b" ]; [ li "c"; li "c" ] ]
+    (cache_rows ~width:2 c);
+  (* Subtracting an inconsistent row is a no-op: it was never stored. *)
+  Alcotest.(check int) "inconsistent dead row ignored" 0
+    (Embjoin.Cache.subtract c (Helpers.packed_of ~width:3 [ [ li "a"; li "b"; li "c" ] ]));
+  Alcotest.(check int) "width checked" 1
+    (match Embjoin.Cache.append c (Helpers.packed_of ~width:2 [ [ li "a"; li "b" ] ]) with
+    | () -> 0
+    | exception Invalid_argument _ -> 1)
+
+let test_cache_subtract () =
+  let c = Embjoin.Cache.create ~vids:[| 0; 1 |] in
+  let row x y = [ li x; li y ] in
+  Embjoin.Cache.append c
+    (Helpers.packed_of ~width:2
+       [ row "a" "b"; row "c" "d"; row "a" "b"; row "e" "f"; row "g" "h"; row "c" "d" ]);
+  Alcotest.(check int) "removed count" 2
+    (Embjoin.Cache.subtract c (Helpers.packed_of ~width:2 [ row "a" "b"; row "c" "d"; row "x" "y" ]));
+  Alcotest.(check (list (list int)))
+    "one occurrence each, survivors in order"
+    [ row "a" "b"; row "e" "f"; row "g" "h"; row "c" "d" ]
+    (cache_rows ~width:2 c);
+  Alcotest.(check int) "absent rows remove nothing" 0
+    (Embjoin.Cache.subtract c (Helpers.packed_of ~width:2 [ row "x" "y" ]));
+  Alcotest.(check int) "removing every row" 4
+    (Embjoin.Cache.subtract c
+       (Helpers.packed_of ~width:2 [ row "g" "h"; row "c" "d"; row "a" "b"; row "e" "f" ]));
+  Alcotest.(check int) "cache emptied" 0 (Embjoin.Cache.count c);
+  Alcotest.(check int) "subtract from empty" 0
+    (Embjoin.Cache.subtract c (Helpers.packed_of ~width:2 [ row "a" "b" ]));
+  Embjoin.Cache.append c (Helpers.packed_of ~width:2 [ row "e" "f" ]);
+  Alcotest.(check (list (list int))) "reusable after emptying" [ row "e" "f" ]
+    (cache_rows ~width:2 c)
+
+let test_cache_growth () =
+  let c = Embjoin.Cache.create ~vids:[| 0; 1; 2 |] in
+  let n = 1000 in
+  let labels = Array.init n (fun i -> li (Printf.sprintf "g%d" i)) in
+  let row i = [ labels.(i); labels.((i + 1) mod n); labels.((i + 2) mod n) ] in
+  (* Batches of 1, 2, 3, ... rows: the initial 4-row capacity doubles
+     eight times on the way to 1,000 rows. *)
+  let next = ref 0 and size = ref 1 in
+  while !next < n do
+    let hi = min n (!next + !size) in
+    Embjoin.Cache.append c (Helpers.packed_of ~width:3 (List.init (hi - !next) (fun j -> row (!next + j))));
+    next := hi;
+    incr size
+  done;
+  Alcotest.(check int) "every row kept" n (Embjoin.Cache.count c);
+  Alcotest.(check bool) "rows intact, in order" true
+    (List.equal (List.equal Int.equal) (List.init n row) (cache_rows ~width:3 c))
+
+(* The join kernel against the boxed [join_many] oracle over the same
+   caches. *)
+let check_kernel msg ~width caches =
+  let oracle =
+    List.filter Embedding.is_total
+      (Embjoin.join_many
+         (List.map (Embjoin.Cache.to_embeddings ~width) (Array.to_list caches)))
+  in
+  check_same_embs msg (Embjoin.join_caches ~width caches) oracle
+
+let cache_of ~vids rows =
+  let c = Embjoin.Cache.create ~vids in
+  Embjoin.Cache.append c (Helpers.packed_of ~width:(Array.length vids) rows);
+  c
+
+let test_cache_join_kernel () =
+  let v = Array.init 40 (fun i -> li (Printf.sprintf "k%d" i)) in
+  (* 3-path chain ?0-?1, ?1-?2, ?2-?3. *)
+  let chain =
+    [|
+      cache_of ~vids:[| 0; 1 |] [ [ v.(0); v.(1) ]; [ v.(2); v.(1) ]; [ v.(3); v.(4) ] ];
+      cache_of ~vids:[| 1; 2 |] [ [ v.(1); v.(5) ]; [ v.(1); v.(6) ]; [ v.(4); v.(7) ] ];
+      cache_of ~vids:[| 2; 3 |] [ [ v.(5); v.(8) ]; [ v.(7); v.(9) ]; [ v.(7); v.(10) ] ];
+    |]
+  in
+  check_kernel "3-path chain" ~width:4 chain;
+  Alcotest.(check int) "chain matches" 4 (List.length (Embjoin.join_caches ~width:4 chain));
+  (* No shared vid: the cartesian product. *)
+  let cart =
+    [|
+      cache_of ~vids:[| 0; 1 |] [ [ v.(0); v.(1) ]; [ v.(2); v.(3) ]; [ v.(4); v.(5) ] ];
+      cache_of ~vids:[| 2 |] [ [ v.(6) ]; [ v.(7) ] ];
+    |]
+  in
+  check_kernel "cartesian" ~width:3 cart;
+  Alcotest.(check int) "cartesian matches" 6 (List.length (Embjoin.join_caches ~width:3 cart));
+  (* More than 8 accumulated embeddings: the hash-table path.  The seed
+     is the smallest cache, so the 12-row hub cache is joined later with
+     a 12-embedding accumulated side. *)
+  let hub =
+    [|
+      cache_of ~vids:[| 0; 1 |] (List.init 12 (fun i -> [ v.(i); v.(20 + (i mod 3)) ]));
+      cache_of ~vids:[| 1; 2 |] (List.init 12 (fun i -> [ v.(20 + (i mod 4)); v.(30 + (i mod 5)) ]));
+      cache_of ~vids:[| 2; 3; 2 |]
+        (List.init 12 (fun i -> [ v.(30 + (i mod 5)); v.(i); v.(30 + (i mod 5)) ]));
+    |]
+  in
+  check_kernel "hash-joined side" ~width:4 hub;
+  Alcotest.(check bool) "hash-joined side non-trivial" true
+    (List.length (Embjoin.join_caches ~width:4 hub) > 8);
+  (* An empty cache annihilates. *)
+  check_kernel "empty operand" ~width:4 [| chain.(0); Embjoin.Cache.create ~vids:[| 1; 2 |]; chain.(2) |]
+
 let suite =
   [
     Alcotest.test_case "tuple basics" `Quick test_tuple_basics;
@@ -315,4 +451,8 @@ let suite =
     Alcotest.test_case "column keys after churn" `Quick test_chain_buckets_after_churn;
     Alcotest.test_case "embedding" `Quick test_embedding;
     Alcotest.test_case "embedding joins" `Quick test_embjoin;
+    Alcotest.test_case "cache append enforces equalities" `Quick test_cache_append_equalities;
+    Alcotest.test_case "cache subtract" `Quick test_cache_subtract;
+    Alcotest.test_case "cache growth" `Quick test_cache_growth;
+    Alcotest.test_case "cache join kernel = join_many" `Quick test_cache_join_kernel;
   ]
